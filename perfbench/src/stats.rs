@@ -1,4 +1,4 @@
-//! Order statistics and the open-loop arithmetic shared by the workloads.
+//! Order statistics shared by the workloads.
 
 /// The `q`-quantile (0 < q ≤ 1) of `values` by nearest rank; 0 for no
 /// values.
@@ -24,114 +24,9 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// A latency service-level objective: the 99th percentile of the latency
-/// at most `limit_s`, with a backlog that does not grow.
-#[derive(Clone, Copy, Debug)]
-pub struct Slo {
-    pub limit_s: f64,
-}
-
-/// Open-loop schedules replayed over the service times a single caller
-/// measured in order.
-///
-/// With one caller in front of the system, a request that falls due while
-/// the previous one is still being served waits for it, so the latency of
-/// request `i` under an arrival schedule follows from the measured service
-/// times `s` by the FIFO (Lindley) recursion
-/// `w[i] = max(0, w[i-1] + s[i-1] - a[i])`, `latency[i] = w[i] + s[i]`.
-/// The gaps `a` are unit-mean exponentials drawn from the seed and divided
-/// by the rate, so every rate sees the same arrival patterns. Latencies are
-/// pooled over several independent Poisson schedules, so a percentile
-/// reflects the service times rather than one draw of arrivals.
-pub struct Replay {
-    service_s: Vec<f64>,
-    unit_gaps: Vec<Vec<f64>>,
-}
-
-/// Poisson schedules pooled per replayed rate.
-pub const REPLAY_SCHEDULES: usize = 8;
-
-impl Replay {
-    pub fn new(service_s: Vec<f64>, rng: &mut crate::gen::Rng) -> Replay {
-        let unit_gaps = (0..REPLAY_SCHEDULES)
-            .map(|_| (0..service_s.len()).map(|_| rng.exponential(1.0)).collect())
-            .collect();
-        Replay {
-            service_s,
-            unit_gaps,
-        }
-    }
-
-    /// Capacity the service times allow, in requests per second.
-    pub fn capacity(&self) -> f64 {
-        self.service_s.len() as f64 / self.service_s.iter().sum::<f64>()
-    }
-
-    /// Per-request `(latency, wait)` pairs in seconds at `rate` per second,
-    /// one vector per schedule.
-    pub fn at(&self, rate: f64) -> Vec<(Vec<f64>, Vec<f64>)> {
-        self.unit_gaps
-            .iter()
-            .map(|gaps| {
-                let mut latencies = Vec::with_capacity(self.service_s.len());
-                let mut waits = Vec::with_capacity(self.service_s.len());
-                let mut wait = 0.0f64;
-                for (i, &s) in self.service_s.iter().enumerate() {
-                    if i > 0 {
-                        wait = (wait + self.service_s[i - 1] - gaps[i] / rate).max(0.0);
-                    }
-                    waits.push(wait);
-                    latencies.push(wait + s);
-                }
-                (latencies, waits)
-            })
-            .collect()
-    }
-
-    /// Latencies at `rate`, pooled over every schedule.
-    pub fn pooled(&self, rate: f64) -> Vec<f64> {
-        self.at(rate)
-            .into_iter()
-            .flat_map(|(latencies, _)| latencies)
-            .collect()
-    }
-
-    /// Whether `slo` holds at `rate`: on the pooled latencies, and with a
-    /// backlog that does not grow in any schedule.
-    pub fn holds(&self, rate: f64, slo: Slo) -> bool {
-        let runs = self.at(rate);
-        let pooled: Vec<f64> = runs.iter().flat_map(|(l, _)| l.iter().copied()).collect();
-        let tails_ok = runs.iter().all(|(_, waits)| {
-            let tail = &waits[waits.len() - (waits.len() / 10).max(1)..];
-            median(tail) <= slo.limit_s
-        });
-        tails_ok && quantile(&pooled, 0.99) <= slo.limit_s
-    }
-
-    /// The highest rate at which `slo` holds, by bisection to a relative
-    /// resolution of 0.1 %. A rate above the capacity the service times
-    /// allow builds a backlog without bound, so the search stops there.
-    pub fn max_rate(&self, slo: Slo) -> f64 {
-        let (mut lo, mut hi) = (0.0f64, self.capacity());
-        if self.holds(hi, slo) {
-            return hi;
-        }
-        while hi - lo > 1e-3 * hi {
-            let mid = 0.5 * (lo + hi);
-            if self.holds(mid, slo) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::Rng;
 
     #[test]
     fn quantiles_use_nearest_rank() {
@@ -140,28 +35,5 @@ mod tests {
         assert_eq!(quantile(&v, 0.99), 99.0);
         assert_eq!(quantile(&v, 1.0), 100.0);
         assert_eq!(quantile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn replay_waits_only_when_arrivals_outpace_service() {
-        let replay = Replay::new(vec![0.001; 2000], &mut Rng::new(1, 0));
-        assert!(median(&replay.pooled(10.0)) < 0.0011);
-        assert!(quantile(&replay.pooled(2000.0), 0.99) > 0.01);
-        let runs = replay.at(2000.0);
-        assert_eq!(runs.len(), REPLAY_SCHEDULES);
-        assert!(
-            runs.iter().all(|(_, waits)| waits.last().unwrap() > &0.1),
-            "backlog grows"
-        );
-    }
-
-    #[test]
-    fn max_rate_lies_below_capacity_and_meets_the_slo() {
-        let replay = Replay::new(vec![0.001; 5000], &mut Rng::new(2, 0));
-        let slo = Slo { limit_s: 0.02 };
-        let rate = replay.max_rate(slo);
-        assert!(rate > 500.0 && rate < 1000.0, "rate {rate}");
-        assert!(replay.holds(rate, slo));
-        assert!(!replay.holds(rate * 1.05, slo));
     }
 }

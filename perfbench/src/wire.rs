@@ -5,10 +5,10 @@
 use crate::trace::{Tracer, ROOT};
 use er_http::http1::{self, Limits, ParseStep};
 use er_http::json::Json;
-use er_service::{Request, ServerHandle};
+use er_http::HttpConfig;
+use er_service::{Request, ServerHandle, SubmitOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -144,20 +144,22 @@ impl Exchange {
 /// Sends `requests` (due time in seconds after `start`, bytes) over
 /// `conns` keep-alive connections, one client thread per connection;
 /// request `i` goes on connection `i % conns`. A request that falls due
-/// while replies are outstanding is pipelined behind them. Returns one
+/// while replies are outstanding is pipelined behind them. `after_send`
+/// runs on the client thread after each request is written. Returns one
 /// exchange per request, in request order.
 pub fn open_loop(
     addr: SocketAddr,
     requests: &[(f64, Vec<u8>)],
     conns: usize,
     start: Instant,
+    after_send: &(dyn Fn() + Sync),
 ) -> Vec<Exchange> {
     let mut exchanges: Vec<Option<Exchange>> = vec![None; requests.len()];
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
             .map(|c| {
                 let mine: Vec<usize> = (c..requests.len()).step_by(conns).collect();
-                scope.spawn(move || connection(addr, requests, &mine, start))
+                scope.spawn(move || connection(addr, requests, &mine, start, after_send))
             })
             .collect();
         for handle in handles {
@@ -179,6 +181,7 @@ fn connection(
     requests: &[(f64, Vec<u8>)],
     mine: &[usize],
     start: Instant,
+    after_send: &(dyn Fn() + Sync),
 ) -> Vec<(usize, Exchange)> {
     let mut done: Vec<(usize, Exchange)> = Vec::with_capacity(mine.len());
     let fail_rest = |done: &mut Vec<(usize, Exchange)>, from: usize, sent: &[(usize, f64)]| {
@@ -235,6 +238,7 @@ fn connection(
             }
             outstanding.push_back((i, sent_s));
             next += 1;
+            after_send();
         }
         if next == mine.len() && outstanding.is_empty() {
             return done;
@@ -290,17 +294,19 @@ fn connection(
     }
 }
 
-/// The traced run's front end: accepts `conns` connections on loopback, in turn,
-/// and serves `POST /query` through `handle` by calling, in order, the
-/// functions er-http's own connection loop calls —
-/// `http1::parse_request`, `api::parse_query_body`, `ServerHandle::submit`,
-/// `Ticket::wait`, `api::render_response`, `http1::write_response` — with a
-/// span around each. Spans of a request carrying `X-Bench-Req` attach to
-/// the client root span named in `X-Bench-Span`.
+/// The traced run's front end: accepts `conns` connections on loopback, in
+/// turn, and serves `POST /query` the way `HttpServer`'s private connection
+/// loop does — the same buffer sizes, read timeout and keep-alive rule, and
+/// the same calls in the same order: `http1::parse_request`,
+/// `api::parse_query_body`, `ServerHandle::submit_with`, `Ticket::wait`,
+/// `api::render_response`, `http1::write_response` — with a span around
+/// each. Spans of a request carrying `X-Bench-Req` attach to the client
+/// root span named in `X-Bench-Span`; other requests record nothing.
+/// Only per-span figures come from this front end: every client-side
+/// latency figure is measured against `HttpServer` itself.
 pub struct TracedFrontEnd {
     pub addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
-    pub pending_max: Arc<AtomicUsize>,
+    acceptor: JoinHandle<()>,
 }
 
 impl TracedFrontEnd {
@@ -311,55 +317,41 @@ impl TracedFrontEnd {
     ) -> std::io::Result<TracedFrontEnd> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let pending_max = Arc::new(AtomicUsize::new(0));
-        let acceptor = {
-            let pending_max = Arc::clone(&pending_max);
-            std::thread::spawn(move || {
-                let mut served = Vec::new();
-                for _ in 0..conns {
-                    let Ok((stream, _)) = listener.accept() else {
-                        break;
-                    };
-                    let (handle, tracer, pending_max) = (
-                        handle.clone(),
-                        Arc::clone(&tracer),
-                        Arc::clone(&pending_max),
-                    );
-                    served.push(std::thread::spawn(move || {
-                        serve(stream, &handle, &tracer, &pending_max)
-                    }));
-                }
-                for t in served {
-                    t.join().expect("front-end connection thread panicked");
-                }
-            })
-        };
-        Ok(TracedFrontEnd {
-            addr,
-            threads: vec![acceptor],
-            pending_max,
-        })
+        let acceptor = std::thread::spawn(move || {
+            let mut served = Vec::new();
+            for _ in 0..conns {
+                let Ok((stream, _)) = listener.accept() else {
+                    break;
+                };
+                let (handle, tracer) = (handle.clone(), Arc::clone(&tracer));
+                served.push(std::thread::spawn(move || serve(stream, &handle, &tracer)));
+            }
+            for t in served {
+                t.join().expect("front-end connection thread panicked");
+            }
+        });
+        Ok(TracedFrontEnd { addr, acceptor })
     }
 
     /// Waits for every connection to close.
     pub fn join(self) {
-        for t in self.threads {
-            t.join().expect("front-end acceptor panicked");
-        }
+        self.acceptor.join().expect("front-end acceptor panicked");
     }
 }
 
-fn serve(mut stream: TcpStream, handle: &ServerHandle, tracer: &Tracer, pending_max: &AtomicUsize) {
+fn serve(mut stream: TcpStream, handle: &ServerHandle, tracer: &Tracer) {
+    let _ = stream.set_read_timeout(Some(HttpConfig::default().read_timeout));
     let _ = stream.set_nodelay(true);
     let limits = Limits::default();
-    let mut buf: Vec<u8> = Vec::with_capacity(1 << 16);
-    let mut chunk = vec![0u8; 1 << 16];
+    let mut buf: Vec<u8> = Vec::with_capacity(4096);
+    let mut chunk = [0u8; 4096];
     loop {
         let parse_start = Instant::now();
         match http1::parse_request(&buf, &limits) {
             ParseStep::Complete { request, consumed } => {
                 let parse_end = Instant::now();
                 buf.drain(..consumed);
+                let keep_alive = request.keep_alive();
                 let ids = request
                     .header("x-bench-req")
                     .and_then(|r| r.parse::<u64>().ok())
@@ -380,33 +372,29 @@ fn serve(mut stream: TcpStream, handle: &ServerHandle, tracer: &Tracer, pending_
                 if traced {
                     tracer.record("http.parse_request", id, parent, parse_start, parse_end);
                 }
-                let body = String::from_utf8_lossy(&request.body).into_owned();
-                let mut parsed: Option<Request> = None;
-                span("api.parse_query_body", &mut || {
-                    parsed = er_http::api::parse_query_body(&body).ok()
-                });
+                let mut parsed: Result<Request, String> = Err("body is not valid UTF-8".into());
+                if let Ok(body) = std::str::from_utf8(&request.body) {
+                    span("api.parse_query_body", &mut || {
+                        parsed = er_http::api::parse_query_body(body)
+                    });
+                }
                 let (status, reply_body) = match parsed {
-                    Some(req) => {
-                        if traced {
-                            span("service.plan", &mut || {
-                                std::hint::black_box(handle.service().plan(&req));
-                            });
-                        }
+                    Ok(req) => {
                         let ticket_start = Instant::now();
                         let ticket_id = if traced { tracer.reserve() } else { ROOT };
-                        let submitted = if traced {
-                            tracer.span("server.submit", id, ticket_id, |_| handle.submit(req))
+                        let result = if traced {
+                            tracer
+                                .span("server.submit", id, ticket_id, |_| {
+                                    handle.submit_with(req, SubmitOptions::default())
+                                })
+                                .and_then(|ticket| {
+                                    tracer.span("ticket.wait", id, ticket_id, |_| ticket.wait())
+                                })
                         } else {
-                            handle.submit(req)
+                            handle
+                                .submit_with(req, SubmitOptions::default())
+                                .and_then(|ticket| ticket.wait())
                         };
-                        pending_max.fetch_max(handle.pending(), Ordering::Relaxed);
-                        let result = submitted.and_then(|ticket| {
-                            if traced {
-                                tracer.span("ticket.wait", id, ticket_id, |_| ticket.wait())
-                            } else {
-                                ticket.wait()
-                            }
-                        });
                         if traced {
                             tracer.record_as(
                                 ticket_id,
@@ -431,25 +419,20 @@ fn serve(mut stream: TcpStream, handle: &ServerHandle, tracer: &Tracer, pending_
                             }
                         }
                     }
-                    None => (
-                        400,
-                        er_http::api::render_error("bad_request", "unparsable body"),
-                    ),
+                    Err(message) => (400, er_http::api::render_error("bad_request", &message)),
                 };
                 let mut bytes = Vec::new();
                 span("http.write_response", &mut || {
-                    bytes = http1::write_response(status, "application/json", &reply_body, true)
+                    bytes =
+                        http1::write_response(status, "application/json", &reply_body, keep_alive)
                 });
                 let mut written = Ok(());
                 span("conn.write", &mut || written = stream.write_all(&bytes));
-                if written.is_err() {
-                    return;
+                if written.is_err() || !keep_alive {
+                    break;
                 }
+                continue;
             }
-            ParseStep::NeedMore => match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            },
             ParseStep::Invalid { status, message } => {
                 let body = er_http::api::render_error("bad_request", &message);
                 let _ = stream.write_all(&http1::write_response(
@@ -458,10 +441,16 @@ fn serve(mut stream: TcpStream, handle: &ServerHandle, tracer: &Tracer, pending_
                     &body,
                     false,
                 ));
-                return;
+                break;
             }
+            ParseStep::NeedMore => {}
+        }
+        match stream.read(&mut chunk) {
+            Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+            _ => break,
         }
     }
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 #[cfg(test)]

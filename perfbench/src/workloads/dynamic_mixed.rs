@@ -9,13 +9,13 @@
 //! differences.
 
 use super::{
-    approx, canonical_ba, closed_loop_metrics, finish_trace, overhead_share, pair_request,
-    rates_for, replayed_open_loop, spmv_probe, timed_setups, zero_unexercised, Ctx, ResponseTally,
-    EPSILON, GRAPH_SEED, SETUP_REQUEST,
+    approx, canonical_ba, closed_loop_metrics, closed_loop_tails, finish_trace, overhead_share,
+    pair_request, spmv_probe, timed_setups, zero_unexercised, Ctx, ResponseTally, EPSILON,
+    GRAPH_SEED, SETUP_REQUEST,
 };
 use crate::gen::{Rng, Zipf};
 use crate::metrics::Outcome;
-use crate::stats::{self, Slo};
+use crate::stats;
 use crate::trace::{Analysis, Tracer, ROOT};
 use er_graph::transform::{add_edges, remove_edges};
 use er_graph::Graph;
@@ -24,11 +24,6 @@ use er_service::DynamicResistanceService;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Open-loop rates (reads per second) at about 25 % and 75 % of the seed
-/// commit's closed-loop capacity on this workload.
-pub const RATES: (f64, f64) = (25.0, 75.0);
-/// A read may wait behind one epoch refresh.
-pub const SLO: Slo = Slo { limit_s: 1.0 };
 /// Reads per second on the seed commit: a run times `PACE × seconds`
 /// reads and the bursts between them.
 pub const PACE: f64 = 95.0;
@@ -67,7 +62,7 @@ pub fn params(ctx: &Ctx) -> Params {
     }
 }
 
-/// One step of the replayed stream.
+/// One step of the mutation/read stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     Insert(usize, usize),
@@ -80,10 +75,16 @@ pub fn resident(p: &Params) -> Vec<usize> {
     (0..p.resident).map(|r| (r * 6151 + 17) % p.nodes).collect()
 }
 
-/// The mutation/read stream: each burst inserts two edges between resident
-/// sources not yet joined and deletes one edge an earlier burst inserted
-/// (never a bridge: the base graph already connects its endpoints), then
-/// `reads_per_burst` zipf reads over a fixed pool of distinct pairs.
+/// Edges a burst inserts, and edges inserted by bursts that stay in the
+/// graph: once the window is full, each burst deletes as many of the
+/// oldest inserted edges as it inserts, so the graph stays the same size.
+pub const INSERTS_PER_BURST: usize = 2;
+
+/// The mutation/read stream: each burst inserts [`INSERTS_PER_BURST`]
+/// edges between resident sources not yet joined and deletes the edges the
+/// previous burst inserted (never a bridge: the base graph already connects
+/// their endpoints), then `reads_per_burst` zipf reads over a fixed pool of
+/// distinct pairs.
 pub struct Stream {
     rng: Rng,
     resident: Vec<usize>,
@@ -109,19 +110,25 @@ impl Stream {
 
     pub fn burst(&mut self, has_edge: impl Fn(usize, usize) -> bool) -> Vec<Step> {
         let mut steps = Vec::new();
-        for _ in 0..2 {
-            let pair = loop {
-                let u = self.resident[self.rng.below(self.resident.len())];
-                let v = self.resident[self.rng.below(self.resident.len())];
-                let key = (u.min(v), u.max(v));
-                if u != v && !has_edge(u, v) && !self.fresh.contains(&key) {
-                    break key;
+        for _ in 0..INSERTS_PER_BURST {
+            let mut free = Vec::new();
+            for (i, &u) in self.resident.iter().enumerate() {
+                for &v in &self.resident[i + 1..] {
+                    let key = (u.min(v), u.max(v));
+                    if !has_edge(u, v) && !self.fresh.contains(&key) {
+                        free.push(key);
+                    }
                 }
-            };
+            }
+            assert!(
+                !free.is_empty(),
+                "every pair of resident sources is already joined"
+            );
+            let pair = free[self.rng.below(free.len())];
             self.fresh.push_back(pair);
             steps.push(Step::Insert(pair.0, pair.1));
         }
-        if self.fresh.len() > 2 {
+        while self.fresh.len() > INSERTS_PER_BURST {
             let (u, v) = self.fresh.pop_front().expect("non-empty");
             steps.push(Step::Remove(u, v));
         }
@@ -169,11 +176,13 @@ fn resident_state(graph: &Graph, p: &Params, seed: u64) -> (Vec<f64>, Vec<(usize
     (diagonal, columns)
 }
 
-/// Gate: after an interval-reaching burst, a full refresh answers
-/// bit-identically to a service built cold on the mutated graph.
+/// Gate: after two bursts (inserts, then deletes) that reach the refresh
+/// interval, a full refresh answers bit-identically to a service built
+/// cold on the mutated graph.
 fn full_refresh_gate(out: &mut Outcome, ctx: &Ctx, graph: &Graph, p: &Params) {
     let mut stream = Stream::new(ctx, p);
-    let burst = stream.burst(|u, v| graph.has_edge(u, v));
+    let mut burst = stream.burst(|u, v| graph.has_edge(u, v));
+    burst.extend(stream.burst(|u, v| graph.has_edge(u, v)));
     let dynamic = DynamicResistanceService::from_graph(graph, approx())
         .with_refresh_interval(burst.len() as u64);
     dynamic.refresh().expect("first epoch");
@@ -374,13 +383,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         closed_loop_metrics(&mut out, &read_s, elapsed_s);
         return out;
     }
-    replayed_open_loop(
-        &mut out,
-        ctx,
-        &read_s,
-        Some(rates_for(ctx, RATES, &read_s)),
-        SLO,
-    );
+    closed_loop_tails(&mut out, &read_s);
 
     tally.report(&mut out);
     let bursts = post_s.len() as u64;

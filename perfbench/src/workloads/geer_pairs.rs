@@ -3,21 +3,16 @@
 //! Barabási–Albert graph whose spectral gap routes every pair to GEER.
 
 use super::{
-    approx, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics, finish_trace,
-    geer_probe, pair_request, rates_for, replayed_open_loop, spmv_probe, timed_setups,
-    zero_unexercised, ClosedLoop, Ctx, GRAPH_SEED,
+    approx, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails,
+    finish_trace, geer_probe, pair_request, spmv_probe, timed_setups, zero_unexercised, ClosedLoop,
+    Ctx, GRAPH_SEED,
 };
 use crate::gen::DistinctPairs;
 use crate::metrics::Outcome;
-use crate::stats::Slo;
 use crate::trace::{Analysis, Tracer};
 use er_core::GraphContext;
 use er_service::ResistanceService;
 
-/// Open-loop rates (requests per second) at about 25 % and 75 % of the
-/// seed commit's closed-loop capacity on this workload.
-pub const RATES: (f64, f64) = (53.0, 160.0);
-pub const SLO: Slo = Slo { limit_s: 0.020 };
 /// Pairs per second on the seed commit: a run times `PACE × seconds` pairs.
 pub const PACE: f64 = 220.0;
 
@@ -117,8 +112,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         closed_loop_metrics(&mut out, &timed.latency_s, timed.elapsed_s);
         return out;
     }
-    let rates = rates_for(ctx, RATES, &timed.latency_s);
-    replayed_open_loop(&mut out, ctx, &timed.latency_s, Some(rates), SLO);
+    closed_loop_tails(&mut out, &timed.latency_s);
     let probe = &timed.pairs[..p.probe_pairs.min(timed.pairs.len())];
     geer_probe(&mut out, &tracer, service.context(), probe, 1 << 40);
     spmv_probe(&mut out, &graph, 20);

@@ -3,18 +3,20 @@
 //! service's cache capacity, so hits, misses and eviction all occur.
 //!
 //! Runs with tracing off time a closed loop over one keep-alive
-//! connection. The traced run serves the open loop — Poisson arrivals at
-//! two fixed rates over two pipelined connections — through an
+//! connection. The traced run drives the open loop — Poisson arrivals at
+//! two fixed rates over two pipelined connections — against `HttpServer`,
+//! searches the highest rate meeting the latency objective with real
+//! passes, and takes the per-span breakdown from shorter passes through an
 //! instrumented front end.
 
 use super::{
-    approx, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics, finish_trace,
-    geer_probe, overhead_share, pair_request, replayed_open_loop, spmv_probe, timed_setups,
+    approx, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails,
+    finish_trace, geer_probe, overhead_share, pair_request, spmv_probe, timed_setups,
     zero_unexercised, Ctx, ResponseTally, EPSILON, GRAPH_SEED, SETUP_REQUEST,
 };
 use crate::gen::{poisson_schedule, Rng, Zipf};
 use crate::metrics::Outcome;
-use crate::stats::{self, Slo};
+use crate::stats;
 use crate::trace::{Analysis, Tracer, ROOT};
 use crate::wire::{closed_loop, open_loop, pair_bytes, Exchange, Reply, TracedFrontEnd};
 use er_core::GraphContext;
@@ -22,6 +24,7 @@ use er_graph::Graph;
 use er_http::{HttpConfig, HttpServer};
 use er_service::{Request, ResistanceServer, ResistanceService, ServerConfig, ServerHandle};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,9 +32,11 @@ use std::time::{Duration, Instant};
 /// 75 % of the seed commit's capacity on this workload. Fixed: never
 /// recomputed from a run.
 pub const RATES: (f64, f64) = (125.0, 375.0);
-pub const SLO: Slo = Slo { limit_s: 0.020 };
-/// Client connections of the traced open loop (one load-generator thread
-/// each).
+/// The latency objective of `open_loop.max_rate_rps`: p99 at most 20 ms.
+pub const SLO_P99_S: f64 = 0.020;
+/// Relative resolution of the search for `open_loop.max_rate_rps`.
+pub const RATE_RESOLUTION: f64 = 0.1;
+/// Client connections of the open loop (one load-generator thread each).
 pub const CONNS: usize = 2;
 /// Requests per second over one connection on the seed commit: a run
 /// times `PACE × seconds` requests.
@@ -121,9 +126,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.note("pool_pairs", p.pool);
     out.note("cache_capacity", p.cache_capacity);
 
-    // Set-up: preprocess, spawn the one-worker server, bind HTTP (the traced
-    // run binds its own instrumented front end instead).
-    let (front, setup_s, setups) = timed_setups(
+    // Set-up: preprocess, spawn the one-worker server, bind HTTP.
+    let (http, setup_s, setups) = timed_setups(
         ctx.setup_reps(),
         &tracer,
         |parent| {
@@ -133,43 +137,19 @@ pub fn run(ctx: &Ctx) -> Outcome {
             let handle = tracer.span("server.spawn", SETUP_REQUEST, parent, |_| {
                 spawn_server(context, &p)
             });
-            if ctx.trace {
-                Err(handle)
-            } else {
-                Ok(tracer.span("http.bind", SETUP_REQUEST, parent, |_| {
-                    HttpServer::bind(handle, HttpConfig::default()).expect("binding loopback")
-                }))
-            }
+            tracer.span("http.bind", SETUP_REQUEST, parent, |_| {
+                HttpServer::bind(handle, HttpConfig::default()).expect("binding loopback")
+            })
         },
-        |previous| {
-            if let Ok(http) = previous {
-                http.shutdown();
-            }
-        },
+        HttpServer::shutdown,
     );
     out.note("setup_runs_s", format!("{setups:?}"));
-    let (handle, http) = match front {
-        Ok(http) => (http.handle().clone(), Some(http)),
-        Err(handle) => (handle, None),
-    };
-    let context = handle.service().context().clone();
+    let context = http.handle().service().context().clone();
     // An in-process twin with its own cache: the bit-identity reference.
-    let twin = ResistanceService::from_context(context.clone(), approx())
-        .with_cache_capacity(p.cache_capacity);
+    let twin =
+        ResistanceService::from_context(context, approx()).with_cache_capacity(p.cache_capacity);
     let mut mix = PairMix::new(ctx, &p, graph.num_nodes());
-    let mut rng = ctx.rng(4);
-
-    if ctx.trace {
-        out.set("core.preprocess_s", setup_s, 1);
-        traced_run(
-            &mut out, ctx, &p, &tracer, handle, &twin, &mut mix, &mut rng, &graph,
-        );
-        return out;
-    }
-    out.set("setup_s", setup_s, setups.len() as u64);
-    let http = http.expect("untraced runs bind HttpServer");
     let addr = http.local_addr();
-    drop(handle);
 
     // Gate, untimed: wire values bit-identical to in-process submits, and a
     // few pairs within ε of CG.
@@ -190,6 +170,13 @@ pub fn run(ctx: &Ctx) -> Outcome {
         http.shutdown();
         return out;
     }
+
+    if ctx.trace {
+        out.set("core.preprocess_s", setup_s, 1);
+        traced_run(&mut out, ctx, &p, &tracer, http, &twin, &mut mix, &graph);
+        return out;
+    }
+    out.set("setup_s", setup_s, setups.len() as u64);
 
     // Timed closed loop over one keep-alive connection.
     let pairs: Vec<(usize, usize)> = (0..ctx.requests(PACE)).map(|_| mix.draw()).collect();
@@ -254,52 +241,58 @@ fn wire_identity(
     }
 }
 
-/// One traced open-loop pass: its pairs, the exchanges, and the client
-/// root span reserved for every traced (even) request.
+/// One open-loop pass: Poisson arrivals at `rate` over [`CONNS`]
+/// keep-alive connections, each request timed from when it fell due.
 struct Pass {
-    name: &'static str,
-    first_id: u64,
     pairs: Vec<(usize, usize)>,
-    roots: Vec<u32>,
-    start: Instant,
     exchanges: Vec<Exchange>,
+    /// When the pass began; exchange times count from here.
+    start: Instant,
+    /// Client root span of each request (`ROOT` when untraced).
+    roots: Vec<u32>,
 }
 
 impl Pass {
+    /// Sends `count` requests at `rate` to `addr`. With `traced` set, every
+    /// other request carries its id (`first_id` + position) and a reserved
+    /// root span for the traced front end. `after_send` runs after each
+    /// request is written.
     #[allow(clippy::too_many_arguments)]
     fn run(
-        name: &'static str,
-        first_id: u64,
-        tracer: &Tracer,
         addr: std::net::SocketAddr,
         mix: &mut PairMix,
         rng: &mut Rng,
         rate: f64,
         count: usize,
+        traced: Option<(&Tracer, u64)>,
+        after_send: &(dyn Fn() + Sync),
     ) -> Pass {
         let due = poisson_schedule(rng, rate, count);
         let pairs: Vec<(usize, usize)> = (0..count).map(|_| mix.draw()).collect();
         let roots: Vec<u32> = (0..count)
-            .map(|i| if i % 2 == 0 { tracer.reserve() } else { ROOT })
+            .map(|i| match traced {
+                Some((tracer, _)) if i % 2 == 0 => tracer.reserve(),
+                _ => ROOT,
+            })
             .collect();
         let requests: Vec<(f64, Vec<u8>)> = due
             .iter()
             .zip(&pairs)
             .enumerate()
             .map(|(i, (&d, &(s, t)))| {
-                let trace = (i % 2 == 0).then_some((first_id + i as u64, roots[i]));
-                (d, pair_bytes(s, t, EPSILON, trace))
+                let ids = traced
+                    .filter(|_| i % 2 == 0)
+                    .map(|(_, first_id)| (first_id + i as u64, roots[i]));
+                (d, pair_bytes(s, t, EPSILON, ids))
             })
             .collect();
         let start = Instant::now();
-        let exchanges = open_loop(addr, &requests, CONNS, start);
+        let exchanges = open_loop(addr, &requests, CONNS, start, after_send);
         Pass {
-            name,
-            first_id,
             pairs,
-            roots,
-            start,
             exchanges,
+            start,
+            roots,
         }
     }
 
@@ -313,112 +306,137 @@ impl Pass {
             .as_ref()
             .is_some_and(|r| r.cache_hits > 0)
     }
+
+    fn latencies_s(&self) -> Vec<f64> {
+        self.exchanges.iter().map(Exchange::latency_s).collect()
+    }
+
+    /// Whether the latency objective held: every request answered, p99 at
+    /// most [`SLO_P99_S`], and a backlog that did not grow — the median
+    /// latency of the pass's last tenth also within [`SLO_P99_S`].
+    fn meets_slo(&self) -> bool {
+        let latencies = self.latencies_s();
+        let tail = &latencies[latencies.len() - (latencies.len() / 10).max(1)..];
+        (0..self.exchanges.len()).all(|i| self.ok(i))
+            && stats::quantile(&latencies, 0.99) <= SLO_P99_S
+            && stats::median(tail) <= SLO_P99_S
+    }
 }
 
-/// The traced run: the instrumented front end serves the open loop —
-/// Poisson arrivals at the fixed low and high rates over two pipelined
-/// keep-alive connections, every other request traced — then the
-/// server-overhead, GEER and SpMV probes run.
+/// The highest open-loop rate at which the latency objective holds on
+/// `HttpServer`, searched with real passes from `lo`, a rate where it held
+/// (0 if none is known), and `hi`, one where it did not: with no `hi`, the
+/// rate doubles from `lo` until a pass misses the objective; then the
+/// bracket halves to [`RATE_RESOLUTION`] of `hi`. A search pass sends
+/// the larger of 2 s of arrivals and half the requests of a timed phase, so
+/// its p99 has at least five samples beyond it. Returns the rate and the
+/// passes it took.
+fn search_max_rate(
+    ctx: &Ctx,
+    addr: std::net::SocketAddr,
+    mix: &mut PairMix,
+    rng: &mut Rng,
+    mut lo: f64,
+    hi: Option<f64>,
+) -> (f64, usize) {
+    let pass_s = if ctx.full() { 2.0 } else { 0.25 };
+    let mut passes = 0;
+    let mut holds = |rate: f64| {
+        passes += 1;
+        let count = (ctx.min_requests() / 2).max((rate * pass_s) as usize);
+        Pass::run(addr, mix, rng, rate, count, None, &|| {}).meets_slo()
+    };
+    let mut hi = match hi {
+        Some(hi) => hi,
+        None => {
+            while holds(2.0 * lo) {
+                lo *= 2.0;
+            }
+            2.0 * lo
+        }
+    };
+    while hi - lo > RATE_RESOLUTION * hi {
+        let mid = 0.5 * (lo + hi);
+        if holds(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, passes)
+}
+
+/// The traced run. Against `HttpServer` itself, after a cache warm-up:
+/// open-loop passes at the fixed low and high rates, the search for the highest rate meeting the
+/// latency objective and a closed loop over one connection. Then the
+/// traced front end serves one shorter pass at each rate for the per-span
+/// breakdown, and the server-overhead, plan, GEER and SpMV probes run.
 #[allow(clippy::too_many_arguments)]
 fn traced_run(
     out: &mut Outcome,
     ctx: &Ctx,
     p: &Params,
     tracer: &Arc<Tracer>,
-    handle: ServerHandle,
+    http: HttpServer,
     twin: &ResistanceService,
     mix: &mut PairMix,
-    rng: &mut Rng,
     graph: &Graph,
 ) {
     let rates = if ctx.full() { RATES } else { (100.0, 300.0) };
-    // Two open-loop passes, each on its own connections, then a closed loop
-    // over one untraced connection on the warm cache (its round trips feed
-    // the replayed capacity figures).
-    let front = TracedFrontEnd::bind(handle.clone(), Arc::clone(tracer), 2 * CONNS + 1)
-        .expect("binding loopback");
-    let pending_max = Arc::clone(&front.pending_max);
-    let before = handle.stats();
-    let low = Pass::run(
-        "low",
-        0,
-        tracer,
-        front.addr,
-        mix,
-        rng,
-        rates.0,
-        pass_size(ctx, rates.0),
-    );
-    let high = Pass::run(
-        "high",
-        1 << 32,
-        tracer,
-        front.addr,
-        mix,
-        rng,
-        rates.1,
-        pass_size(ctx, rates.1),
-    );
-    let after = handle.stats();
-    let closed_pairs: Vec<(usize, usize)> = (0..ctx.min_requests()).map(|_| mix.draw()).collect();
-    let round_trips: Vec<f64> = exchange_closed(front.addr, &closed_pairs)
-        .into_iter()
-        .map(|(rtt, _)| rtt)
-        .collect();
-    front.join();
-    replayed_open_loop(out, ctx, &round_trips, None, SLO);
     out.note("rate_low_rps", rates.0);
     out.note("rate_high_rps", rates.1);
+    out.note("slo_p99_ms", SLO_P99_S * 1e3);
+    let mut rng = ctx.rng(4);
+    let handle = http.handle().clone();
+    let addr = http.local_addr();
 
+    // Warm the cache with as many requests as it holds, so the passes
+    // below see the steady hit share the timed closed loop reaches.
+    let warm: Vec<(usize, usize)> = (0..p.cache_capacity).map(|_| mix.draw()).collect();
+    for (_, reply) in exchange_closed(addr, &warm) {
+        out.count(reply.is_some_and(|r| r.ok()));
+    }
+
+    // Open loop at the fixed rates, on HttpServer.
+    let pending_max = AtomicUsize::new(0);
+    let sample_pending = || {
+        pending_max.fetch_max(handle.pending(), Ordering::Relaxed);
+    };
+    let before = handle.stats();
+    let low = Pass::run(
+        addr,
+        mix,
+        &mut rng,
+        rates.0,
+        pass_size(ctx, rates.0),
+        None,
+        &sample_pending,
+    );
+    let high = Pass::run(
+        addr,
+        mix,
+        &mut rng,
+        rates.1,
+        pass_size(ctx, rates.1),
+        None,
+        &sample_pending,
+    );
+    let after = handle.stats();
     let mut tally = ResponseTally::default();
-    let (mut traced_s, mut untraced_s, mut lag) = (Vec::new(), Vec::new(), Vec::new());
-    let mut class: HashMap<u64, &'static str> = HashMap::new();
-    for pass in [&low, &high] {
-        let mut latencies = Vec::new();
+    let mut lag = Vec::new();
+    for (pass, p50, p99) in [
+        (&low, "open_loop.p50_ms.low", "open_loop.p99_ms.low"),
+        (&high, "open_loop.p50_ms.high", "open_loop.p99_ms.high"),
+    ] {
         for (i, e) in pass.exchanges.iter().enumerate() {
-            let ok = pass.ok(i);
-            out.count(ok);
+            out.count(pass.ok(i));
             lag.push(e.sent_s - e.due_s);
-            if !ok {
-                continue;
-            }
-            let r = e.reply.as_ref().expect("ok replies exist");
-            tally.add_parts(r.backend, r.cache_hits, r.backend_calls);
-            latencies.push(e.latency_s());
-            let id = pass.first_id + i as u64;
-            if i % 2 == 0 {
-                let at = |s: f64| pass.start + Duration::from_secs_f64(s);
-                tracer.record_as(
-                    pass.roots[i],
-                    "client.request",
-                    id,
-                    ROOT,
-                    at(e.due_s),
-                    at(e.done_s),
-                );
-                tracer.record("client.queue", id, pass.roots[i], at(e.due_s), at(e.sent_s));
-                class.insert(
-                    id,
-                    match (pass.name, pass.hit(i)) {
-                        ("low", true) => "low rate, hit",
-                        ("low", false) => "low rate, miss",
-                        (_, true) => "high rate, hit",
-                        (_, false) => "high rate, miss",
-                    },
-                );
-                if pass.name == "low" {
-                    traced_s.push(e.latency_s());
-                }
-            } else if pass.name == "low" {
-                untraced_s.push(e.latency_s());
+            if let Some(r) = &e.reply {
+                tally.add_parts(r.backend, r.cache_hits, r.backend_calls);
             }
         }
+        let latencies = pass.latencies_s();
         let n = latencies.len() as u64;
-        let (p50, p99) = if pass.name == "low" {
-            ("open_loop.p50_ms.low", "open_loop.p99_ms.low")
-        } else {
-            ("open_loop.p50_ms.high", "open_loop.p99_ms.high")
-        };
         out.set(p50, stats::median(&latencies) * 1e3, n);
         out.set(p99, stats::quantile(&latencies, 0.99) * 1e3, n);
     }
@@ -428,8 +446,6 @@ fn traced_run(
         lag.len() as u64,
     );
     tally.report(out);
-    overhead_share(out, &traced_s, &untraced_s);
-
     let submitted = (after.submitted - before.submitted).max(1);
     let completed = (after.completed - before.completed).max(1);
     out.set(
@@ -444,22 +460,113 @@ fn traced_run(
     );
     out.set(
         "server.pending_max",
-        pending_max.load(std::sync::atomic::Ordering::Relaxed) as f64,
+        pending_max.load(Ordering::Relaxed) as f64,
         submitted,
     );
-
     // Wire identity on a spread sample of both passes.
-    for pass in [&low, &high] {
+    for (name, pass) in [("low", &low), ("high", &high)] {
         let replies: Vec<(f64, Option<Reply>)> = pass
             .exchanges
             .iter()
             .map(|e| (0.0, e.reply.clone()))
             .collect();
         let step = (pass.pairs.len() / p.checked).max(1);
-        wire_identity(out, pass.name, &pass.pairs, &replies, twin, step);
+        wire_identity(out, name, &pass.pairs, &replies, twin, step);
     }
 
+    // The fixed-rate passes bracket the search.
+    let (lo, hi) = match (low.meets_slo(), high.meets_slo()) {
+        (_, true) => (rates.1, None),
+        (true, false) => (rates.0, Some(rates.1)),
+        (false, false) => (0.0, Some(rates.0)),
+    };
+    let (max_rate, passes) = search_max_rate(ctx, addr, mix, &mut rng, lo, hi);
+    out.set("open_loop.max_rate_rps", max_rate, passes as u64);
+    let closed_pairs: Vec<(usize, usize)> = (0..ctx.min_requests()).map(|_| mix.draw()).collect();
+    let round_trips: Vec<f64> = exchange_closed(addr, &closed_pairs)
+        .into_iter()
+        .map(|(rtt, _)| rtt)
+        .collect();
+    closed_loop_tails(out, &round_trips);
+    http.shutdown();
+
+    // The per-span breakdown: one shorter pass at each rate through the
+    // traced front end, every other request traced.
+    let front = TracedFrontEnd::bind(handle.clone(), Arc::clone(tracer), 2 * CONNS)
+        .expect("binding loopback");
+    let count = ctx.min_requests() / 2;
+    let traced_passes = [
+        (
+            "low",
+            0u64,
+            Pass::run(
+                front.addr,
+                mix,
+                &mut rng,
+                rates.0,
+                count,
+                Some((tracer, 0)),
+                &|| {},
+            ),
+        ),
+        (
+            "high",
+            1 << 32,
+            Pass::run(
+                front.addr,
+                mix,
+                &mut rng,
+                rates.1,
+                count,
+                Some((tracer, 1 << 32)),
+                &|| {},
+            ),
+        ),
+    ];
+    front.join();
+
+    let (mut traced_s, mut untraced_s) = (Vec::new(), Vec::new());
+    let mut class: HashMap<u64, &'static str> = HashMap::new();
+    for (name, first_id, pass) in &traced_passes {
+        for (i, e) in pass.exchanges.iter().enumerate() {
+            let ok = pass.ok(i);
+            out.count(ok);
+            if !ok {
+                continue;
+            }
+            let id = first_id + i as u64;
+            if i % 2 == 0 {
+                let at = |s: f64| pass.start + Duration::from_secs_f64(s);
+                tracer.record_as(
+                    pass.roots[i],
+                    "client.request",
+                    id,
+                    ROOT,
+                    at(e.due_s),
+                    at(e.done_s),
+                );
+                tracer.record("client.queue", id, pass.roots[i], at(e.due_s), at(e.sent_s));
+                class.insert(
+                    id,
+                    match (*name, pass.hit(i)) {
+                        ("low", true) => "low rate, hit",
+                        ("low", false) => "low rate, miss",
+                        (_, true) => "high rate, hit",
+                        (_, false) => "high rate, miss",
+                    },
+                );
+                if *name == "low" {
+                    traced_s.push(e.latency_s());
+                }
+            } else if *name == "low" {
+                untraced_s.push(e.latency_s());
+            }
+        }
+    }
+    overhead_share(out, &traced_s, &untraced_s);
+
     server_overhead(out, p, mix, twin.context());
+    plan_probe(out, tracer, twin, &traced_passes[0].2.pairs);
     let misses: Vec<(usize, usize)> = (0..low.pairs.len())
         .filter(|&i| low.ok(i) && !low.hit(i))
         .map(|i| low.pairs[i])
@@ -483,9 +590,9 @@ fn traced_run(
             _ => {}
         }
     }
-    for pass in [&low, &high] {
+    for (_, first_id, pass) in &traced_passes {
         for (i, e) in pass.exchanges.iter().enumerate() {
-            let id = pass.first_id + i as u64;
+            let id = first_id + i as u64;
             if let (Some(&(Some(parse), Some(written))), true) =
                 (server_side.get(&id), class.contains_key(&id))
             {
@@ -515,9 +622,9 @@ fn traced_run(
         .map(|s| (s.request, s.duration_ns() as f64 * 1e-9))
         .collect();
     let mut wire = Vec::new();
-    for pass in [&low, &high] {
+    for (_, first_id, pass) in &traced_passes {
         for (i, e) in pass.exchanges.iter().enumerate() {
-            if let Some(t) = ticket.get(&(pass.first_id + i as u64)) {
+            if let Some(t) = ticket.get(&(first_id + i as u64)) {
                 wire.push((e.done_s - e.sent_s) - t);
             }
         }
@@ -532,11 +639,6 @@ fn traced_run(
     out.set(
         "http.render_us",
         (analysis.mean_s("api.render_response") + analysis.mean_s("http.write_response")) * 1e6,
-        traced_n,
-    );
-    out.set(
-        "service.plan_us",
-        analysis.mean_s("service.plan") * 1e6,
         traced_n,
     );
     out.set(
@@ -555,6 +657,33 @@ fn traced_run(
         &[setup_fall, request_fall, probe_fall],
     );
     zero_unexercised(out);
+}
+
+/// `ResistanceService::plan` of each of `pairs` on the server's twin, each
+/// in a `service.plan` span, outside any request.
+fn plan_probe(
+    out: &mut Outcome,
+    tracer: &Tracer,
+    twin: &ResistanceService,
+    pairs: &[(usize, usize)],
+) {
+    for (i, &(s, t)) in pairs.iter().enumerate() {
+        let request = pair_request(s, t);
+        tracer.span("service.plan", (1 << 48) + i as u64, ROOT, |_| {
+            std::hint::black_box(twin.plan(&request))
+        });
+    }
+    let plans = tracer.snapshot();
+    let durations: Vec<f64> = plans
+        .iter()
+        .filter(|s| s.name == "service.plan")
+        .map(|s| s.duration_ns() as f64 * 1e-9)
+        .collect();
+    out.set(
+        "service.plan_us",
+        stats::mean(&durations) * 1e6,
+        durations.len() as u64,
+    );
 }
 
 /// Ticket round trip through a one-worker server minus a direct `submit`

@@ -7,7 +7,7 @@ pub mod shard_cg;
 
 use crate::gen::Rng;
 use crate::metrics::{Outcome, PER_LAYER};
-use crate::stats::{self, Replay, Slo};
+use crate::stats;
 use crate::trace::{Tracer, ROOT};
 use er_core::{ApproxConfig, GeerTrace, GraphContext};
 use er_graph::Graph;
@@ -278,51 +278,15 @@ impl ClosedLoop {
     }
 }
 
-/// Latency figures of a closed-loop workload, from the service times its
-/// one caller measured: the median and 99th percentile as measured; the
-/// median and 99th percentile at the workload's fixed open-loop `rates`
-/// and the highest rate meeting `slo`, by replaying Poisson schedules over
-/// the service times (see [`Replay`]).
-pub fn replayed_open_loop(
-    out: &mut Outcome,
-    ctx: &Ctx,
-    service_s: &[f64],
-    rates: Option<(f64, f64)>,
-    slo: Slo,
-) {
-    let n = service_s.len() as u64;
-    out.set("closed_loop.p50_ms", stats::median(service_s) * 1e3, n);
+/// The median and 99th-percentile latency of a closed loop, as measured.
+pub fn closed_loop_tails(out: &mut Outcome, latency_s: &[f64]) {
+    let n = latency_s.len() as u64;
+    out.set("closed_loop.p50_ms", stats::median(latency_s) * 1e3, n);
     out.set(
         "closed_loop.p99_ms",
-        stats::quantile(service_s, 0.99) * 1e3,
+        stats::quantile(latency_s, 0.99) * 1e3,
         n,
     );
-    let replay = Replay::new(service_s.to_vec(), &mut ctx.rng(0xa77));
-    if let Some(rates) = rates {
-        for (rate, p50, p99) in [
-            (rates.0, "open_loop.p50_ms.low", "open_loop.p99_ms.low"),
-            (rates.1, "open_loop.p50_ms.high", "open_loop.p99_ms.high"),
-        ] {
-            let latencies = replay.pooled(rate);
-            out.set(p50, stats::median(&latencies) * 1e3, n);
-            out.set(p99, stats::quantile(&latencies, 0.99) * 1e3, n);
-        }
-        out.note("rate_low_rps", rates.0);
-        out.note("rate_high_rps", rates.1);
-    }
-    out.set("open_loop.max_rate_rps", replay.max_rate(slo), n);
-    out.note("slo_p99_ms", slo.limit_s * 1e3);
-}
-
-/// The fixed open-loop rates of a workload at full scale; at tiny scale,
-/// 25 % and 75 % of the run's own capacity.
-pub fn rates_for(ctx: &Ctx, full: (f64, f64), service_s: &[f64]) -> (f64, f64) {
-    if ctx.full() {
-        full
-    } else {
-        let capacity = service_s.len() as f64 / service_s.iter().sum::<f64>();
-        (0.25 * capacity, 0.75 * capacity)
-    }
 }
 
 /// Tallies what the service reported across responses.

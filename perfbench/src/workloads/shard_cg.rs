@@ -3,30 +3,25 @@
 //! intra-shard pairs on the owning shard, cross-shard pairs escalated to a
 //! global solve. Uniform pairs at ε = 0.05, one caller in a closed loop.
 //!
-//! The plane is composed here from its public parts, exactly as
-//! `ShardedService::build` composes it (preprocess, partition, router,
-//! routed service), so each part can be timed on its own.
+//! Set-up is `ShardedService::build`. The traced run also times the
+//! public calls that build makes — preprocess, partition, router build —
+//! one at a time, for the per-layer figures.
 
 use super::{
-    approx, cg_reference, check_epsilon, closed_loop_metrics, finish_trace, pair_request,
-    rates_for, replayed_open_loop, spmv_probe, timed_setups, zero_unexercised, ClosedLoop, Ctx,
-    GRAPH_SEED, SETUP_REQUEST,
+    approx, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails, finish_trace,
+    pair_request, spmv_probe, timed_setups, zero_unexercised, ClosedLoop, Ctx, GRAPH_SEED,
+    SETUP_REQUEST,
 };
 use crate::metrics::Outcome;
-use crate::stats::{self, Slo};
-use crate::trace::{Analysis, Tracer};
+use crate::stats;
+use crate::trace::{Analysis, Tracer, ROOT};
 use er_core::GraphContext;
 use er_graph::transform::induced_subgraph;
 use er_graph::{generators, Graph, PartitionConfig, Partitioner};
-use er_service::{ResistanceService, ServiceError};
-use er_shard::{ShardConfig, ShardRouter};
+use er_service::ResistanceService;
+use er_shard::{ShardConfig, ShardRouter, ShardedService};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Open-loop rates (requests per second) at about 25 % and 75 % of the
-/// seed commit's closed-loop capacity on this workload.
-pub const RATES: (f64, f64) = (40.0, 120.0);
-pub const SLO: Slo = Slo { limit_s: 0.020 };
 /// Pairs per second on the seed commit: a run times `PACE × seconds` pairs.
 pub const PACE: f64 = 160.0;
 
@@ -67,24 +62,19 @@ pub fn graph(ctx: &Ctx) -> Graph {
         .expect("WS generator parameters are valid")
 }
 
-struct Plane {
-    service: ResistanceService,
-    router: Arc<ShardRouter>,
-}
-
-/// Preprocess, partition, build the router and install it on the
-/// full-graph service; coarsens like `ShardedService::build` when a shard
-/// comes out bipartite.
-fn build_plane(graph: &Graph, shards: usize, tracer: &Tracer, parent: u32) -> Plane {
-    let context = tracer.span("core.preprocess", SETUP_REQUEST, parent, |_| {
-        GraphContext::preprocess(graph.clone()).expect("WS graph is ergodic")
-    });
-    let config = ShardConfig::with_shards(shards);
-    let mut k = shards;
-    loop {
+/// Times each part `ShardedService::build` runs, one public call at a
+/// time, on the plane's own graph and shard count: preprocess, partition,
+/// router build. Traced runs only; the plane itself comes from
+/// `ShardedService::build`.
+fn setup_parts(graph: &Graph, shards: usize, tracer: &Tracer) {
+    tracer.span("setup.parts", SETUP_REQUEST, ROOT, |parent| {
+        let context = tracer.span("core.preprocess", SETUP_REQUEST, parent, |_| {
+            GraphContext::preprocess(graph.clone()).expect("WS graph is ergodic")
+        });
+        let config = ShardConfig::with_shards(shards);
         let partition = tracer.span("graph.partition", SETUP_REQUEST, parent, |_| {
             Partitioner::new(PartitionConfig {
-                num_parts: k,
+                num_parts: shards,
                 balance_slack: config.balance_slack,
                 sweeps: config.sweeps,
                 seed: config.seed,
@@ -92,20 +82,11 @@ fn build_plane(graph: &Graph, shards: usize, tracer: &Tracer, parent: u32) -> Pl
             .partition(context.graph())
             .expect("partitioning a connected graph")
         });
-        let built = tracer.span("shard.router_build", SETUP_REQUEST, parent, |_| {
-            ShardRouter::build(context.clone(), partition, config, approx())
+        tracer.span("shard.router_build", SETUP_REQUEST, parent, |_| {
+            ShardRouter::build(context, partition, config, approx())
+                .expect("the plane built this router")
         });
-        match built {
-            Ok(router) => {
-                let router = Arc::new(router);
-                let service = ResistanceService::from_context(context, approx())
-                    .with_pair_router(router.clone());
-                return Plane { service, router };
-            }
-            Err(ServiceError::Estimator(_)) if k > 1 => k -= 1,
-            Err(e) => panic!("shard router build failed: {e}"),
-        }
-    }
+    });
 }
 
 pub fn run(ctx: &Ctx) -> Outcome {
@@ -125,11 +106,14 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let (plane, setup_s, setups) = timed_setups(
         ctx.setup_reps(),
         &tracer,
-        |parent| build_plane(&graph, p.shards, &tracer, parent),
+        |_| {
+            ShardedService::build(graph.clone(), ShardConfig::with_shards(p.shards), approx())
+                .expect("building the shard plane")
+        },
         drop,
     );
-    let router = &plane.router;
-    out.note("spectral_gap", plane.service.context().spectral_gap());
+    let (service, router) = (plane.service(), plane.router());
+    out.note("spectral_gap", service.context().spectral_gap());
     out.note("shards", router.num_shards());
     out.note("edge_cut", router.partition().edge_cut);
     out.note("setup_runs_s", format!("{setups:?}"));
@@ -156,7 +140,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let mut truth = ShardTruth::new(&graph, router, ctx);
     for &(s, t) in &intra {
         let (local, (ls, lt)) = truth.unsharded(s, t);
-        let sharded = plane.service.submit(&pair_request(s, t)).map(|r| r.value());
+        let sharded = service.submit(&pair_request(s, t)).map(|r| r.value());
         let alone = local.submit(&pair_request(ls, lt)).map(|r| r.value());
         let same = matches!((&sharded, &alone), (Ok(a), Ok(b)) if a.to_bits() == b.to_bits());
         out.gate(same, || {
@@ -166,13 +150,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let gate: Vec<(usize, usize)> = intra.iter().chain(&cross).copied().collect();
     let answers: Vec<Option<f64>> = gate
         .iter()
-        .map(|&(s, t)| {
-            plane
-                .service
-                .submit(&pair_request(s, t))
-                .ok()
-                .map(|r| r.value())
-        })
+        .map(|&(s, t)| service.submit(&pair_request(s, t)).ok().map(|r| r.value()))
         .collect();
     let mut full_error = Vec::new();
     truth.check(&mut out, "gate", &gate, &answers, &mut full_error);
@@ -181,14 +159,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
 
     let before = router.stats();
-    let timed = ClosedLoop::run(
-        &mut out,
-        ctx,
-        &tracer,
-        &plane.service,
-        ctx.requests(PACE),
-        || rng.pair(p.nodes),
-    );
+    let timed = ClosedLoop::run(&mut out, ctx, &tracer, service, ctx.requests(PACE), || {
+        rng.pair(p.nodes)
+    });
     let after = router.stats();
 
     // Untimed: a spread sample of the timed answers against CG.
@@ -200,8 +173,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         closed_loop_metrics(&mut out, &timed.latency_s, timed.elapsed_s);
         return out;
     }
-    let rates = rates_for(ctx, RATES, &timed.latency_s);
-    replayed_open_loop(&mut out, ctx, &timed.latency_s, Some(rates), SLO);
+    closed_loop_tails(&mut out, &timed.latency_s);
     let (n_intra, n_cross, n_esc) = (
         after.intra - before.intra,
         after.cross - before.cross,
@@ -246,6 +218,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
     );
     spmv_probe(&mut out, &graph, 200);
 
+    setup_parts(&graph, router.num_shards(), &tracer);
+
     let analysis = Analysis::new(tracer.take());
     timed.report_traced(&mut out, &analysis);
     out.set(
@@ -263,7 +237,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         analysis.durations_s("shard.router_build").iter().sum(),
         1,
     );
-    let setup_fall = analysis.waterfall("setup", |_| Some("setup"));
+    let setup_fall = analysis.waterfall("setup.parts", |_| Some("setup, part by part"));
     let waterfall = analysis.waterfall("request", |id| {
         Some(if intra[id as usize] {
             "intra-shard"

@@ -8,6 +8,10 @@ use perfbench::workloads::{self, Ctx, Scale, WORKLOADS};
 use std::process::{Command, Output};
 
 fn run(workload: &str, trace: bool, extra: &[&str]) -> Output {
+    run_for(workload, "0.2", trace, extra)
+}
+
+fn run_for(workload: &str, seconds: &str, trace: bool, extra: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_perfbench"))
         .args([
             "--workload",
@@ -15,7 +19,7 @@ fn run(workload: &str, trace: bool, extra: &[&str]) -> Output {
             "--seed",
             "5",
             "--seconds",
-            "0.2",
+            seconds,
             "--scale",
             "tiny",
         ])
@@ -40,7 +44,11 @@ fn metric_names(result: &Json) -> Vec<String> {
 }
 
 fn check_run(workload: &str, trace: bool) {
-    let output = run(workload, trace, &[]);
+    check_run_for(workload, "0.2", trace);
+}
+
+fn check_run_for(workload: &str, seconds: &str, trace: bool) {
+    let output = run_for(workload, seconds, trace, &[]);
     assert!(
         output.status.success(),
         "{workload} (trace {trace}) failed: {}",
@@ -85,6 +93,34 @@ fn http_zipf_runs_tiny() {
 fn dynamic_mixed_runs_tiny() {
     check_run("dynamic_mixed", false);
     check_run("dynamic_mixed", true);
+}
+
+/// Enough bursts to join every pair of resident sources several times over
+/// if inserted edges were never deleted.
+#[test]
+fn dynamic_mixed_runs_many_bursts_tiny() {
+    check_run_for("dynamic_mixed", "8", false);
+}
+
+#[test]
+fn dynamic_mixed_keeps_the_inserted_edges_bounded() {
+    let c = ctx(6);
+    let p = workloads::dynamic_mixed::params(&c);
+    let resident = workloads::dynamic_mixed::resident(&p);
+    let pairs = resident.len() * (resident.len() - 1) / 2;
+    let base = workloads::dynamic_mixed::graph(&c);
+    let mut edges: std::collections::BTreeSet<(usize, usize)> = Default::default();
+    let mut s = workloads::dynamic_mixed::Stream::new(&c, &p);
+    for _ in 0..10 * pairs {
+        for step in s.burst(|u, v| base.has_edge(u, v) || edges.contains(&(u.min(v), u.max(v)))) {
+            match step {
+                workloads::dynamic_mixed::Step::Insert(u, v) => assert!(edges.insert((u, v))),
+                workloads::dynamic_mixed::Step::Remove(u, v) => assert!(edges.remove(&(u, v))),
+                workloads::dynamic_mixed::Step::Read(..) => panic!("a burst reads"),
+            }
+        }
+        assert_eq!(edges.len(), workloads::dynamic_mixed::INSERTS_PER_BURST);
+    }
 }
 
 #[test]
