@@ -3,6 +3,7 @@
 //! with tracing off and per-layer metrics from a separate traced run.
 //! See `perfbench/README.md`.
 
+pub mod calib;
 pub mod gen;
 pub mod metrics;
 pub mod stats;

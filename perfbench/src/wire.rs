@@ -88,9 +88,14 @@ pub fn parse_reply(status: u16, body: &[u8]) -> Reply {
 }
 
 /// Sends `requests` one at a time over one keep-alive connection, each
-/// after the previous reply is complete; returns each round trip in
-/// seconds with its reply (`None` once the connection failed).
-pub fn closed_loop(addr: SocketAddr, requests: &[Vec<u8>]) -> Vec<(f64, Option<Reply>)> {
+/// after the previous reply is complete and after `before` ran, untimed;
+/// returns each round trip in seconds with its reply (`None` once the
+/// connection failed).
+pub fn closed_loop(
+    addr: SocketAddr,
+    requests: &[Vec<u8>],
+    mut before: impl FnMut(),
+) -> Vec<(f64, Option<Reply>)> {
     let mut out = Vec::with_capacity(requests.len());
     let Ok(mut stream) = TcpStream::connect(addr) else {
         return requests.iter().map(|_| (0.0, None)).collect();
@@ -99,6 +104,7 @@ pub fn closed_loop(addr: SocketAddr, requests: &[Vec<u8>]) -> Vec<(f64, Option<R
     let mut buf: Vec<u8> = Vec::with_capacity(1 << 16);
     let mut chunk = vec![0u8; 1 << 16];
     for bytes in requests {
+        before();
         let start = Instant::now();
         let mut reply = None;
         if stream.write_all(bytes).is_ok() {

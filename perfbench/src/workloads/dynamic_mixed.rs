@@ -9,9 +9,9 @@
 //! differences.
 
 use super::{
-    approx, canonical_ba, closed_loop_metrics, closed_loop_tails, finish_trace, overhead_share,
-    pair_request, spmv_probe, timed_setups, zero_unexercised, Ctx, ResponseTally, EPSILON,
-    GRAPH_SEED, SETUP_REQUEST,
+    approx, calibrator, canonical_ba, closed_loop_metrics, closed_loop_tails, finish_trace,
+    overhead_share, pair_request, spmv_probe, timed_setups, zero_unexercised, Ctx, ResponseTally,
+    CANONICAL_ROWS_S, EPSILON, GRAPH_SEED, SETUP_REQUEST,
 };
 use crate::gen::{Rng, Zipf};
 use crate::metrics::Outcome;
@@ -22,7 +22,7 @@ use er_graph::Graph;
 use er_linalg::LaplacianSolver;
 use er_service::DynamicResistanceService;
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Reads per second on the seed commit: a run times `PACE × seconds`
 /// reads and the bursts between them.
@@ -231,10 +231,12 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.note("resident_columns", p.resident);
     out.note("refresh_interval", p.refresh_interval);
     out.note("reads_per_burst", p.reads_per_burst);
+    let mut cal = calibrator(ctx, &graph, CANONICAL_ROWS_S);
 
     let (dynamic, setup_s, setups) = timed_setups(
         ctx.setup_reps(),
         &tracer,
+        &mut cal,
         |parent| {
             let dynamic = DynamicResistanceService::from_graph(&graph, approx())
                 .with_refresh_interval(p.refresh_interval);
@@ -264,8 +266,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
         return out;
     }
 
-    // Timed closed loop. Checks of post-burst answers against
-    // `resistance_exact` run with the clock stopped.
+    // Timed closed loop, with calibration slices before bursts and between
+    // reads. Checks of post-burst answers against `resistance_exact` run
+    // with the clock stopped.
     let mut stream = Stream::new(ctx, &p);
     let mut tally = ResponseTally::default();
     let (full0, incr0, sm0, cg0) = (
@@ -275,10 +278,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
         dynamic.cg_fallbacks(),
     );
     let (mut read_s, mut post_s, mut mutation_s) = (Vec::new(), Vec::new(), Vec::new());
+    let mut marks = Vec::new();
     let (mut traced_s, mut untraced_s, mut lag_s) = (Vec::new(), Vec::new(), Vec::new());
     let mut classes: Vec<&'static str> = Vec::new();
-    let mut paused = Duration::ZERO;
-    let start = Instant::now();
     let mut last_end;
     let mut checked = 0usize;
     let reads = ctx.requests(PACE);
@@ -287,6 +289,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         let burst = stream.burst(|u, v| dynamic.has_edge(u, v));
         let burst_id = classes.len() as u64;
         classes.push("burst");
+        let burst_mark = cal.between();
         let begin = Instant::now();
         tracer.span("burst", burst_id, ROOT, |root| {
             for step in &burst {
@@ -320,6 +323,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
             let post = i == 0;
             classes.push(if post { "post-burst read" } else { "read" });
             let traced = ctx.trace && (post || id.is_multiple_of(2));
+            // The first read and the burst before it are one interval.
+            marks.push(if post { burst_mark } else { cal.between() });
             let begin = Instant::now();
             lag_s.push((begin - last_end).as_secs_f64());
             let answer = if traced {
@@ -360,7 +365,6 @@ pub fn run(ctx: &Ctx) -> Outcome {
             }
             out.count(answer.is_ok());
             if post {
-                let stop = Instant::now();
                 let exact = dynamic.resistance_exact(s, t).expect("exact resistance")
                     + if ctx.corrupt_reference { 1.0 } else { 0.0 };
                 let value = answer.as_ref().ok().map(|r| r.value());
@@ -369,18 +373,16 @@ pub fn run(ctx: &Ctx) -> Outcome {
                     format!("post-burst r({s},{t}) = {value:?}, resistance_exact {exact}")
                 });
                 checked += 1;
-                paused += stop.elapsed();
                 last_end = Instant::now();
             }
         }
     }
-    let elapsed_s = (start.elapsed() - paused).as_secs_f64();
     out.note("checked_pairs", checked + p.gate_pairs);
     out.note("bursts", post_s.len());
     out.note("mutations", mutation_s.len());
 
     if !ctx.trace {
-        closed_loop_metrics(&mut out, &read_s, elapsed_s);
+        closed_loop_metrics(&mut out, &read_s, &marks, &cal);
         return out;
     }
     closed_loop_tails(&mut out, &read_s);

@@ -3,9 +3,9 @@
 //! Barabási–Albert graph whose spectral gap routes every pair to GEER.
 
 use super::{
-    approx, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails,
-    finish_trace, geer_probe, pair_request, spmv_probe, timed_setups, zero_unexercised, ClosedLoop,
-    Ctx, GRAPH_SEED,
+    approx, calibrator, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics,
+    closed_loop_tails, finish_trace, geer_probe, pair_request, spmv_probe, timed_setups,
+    zero_unexercised, ClosedLoop, Ctx, CANONICAL_ROWS_S, GRAPH_SEED,
 };
 use crate::gen::DistinctPairs;
 use crate::metrics::Outcome;
@@ -56,10 +56,12 @@ pub fn run(ctx: &Ctx) -> Outcome {
         format!("barabasi_albert(n={nodes}, attach=4, seed={GRAPH_SEED})"),
     );
     out.note("edges", graph.num_edges());
+    let mut cal = calibrator(ctx, &graph, CANONICAL_ROWS_S);
 
     let (service, setup_s, setups) = timed_setups(
         ctx.setup_reps(),
         &tracer,
+        &mut cal,
         |parent| {
             let context = tracer.span("core.preprocess", super::SETUP_REQUEST, parent, |_| {
                 GraphContext::preprocess(graph.clone()).expect("BA graph is ergodic")
@@ -97,6 +99,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         &mut out,
         ctx,
         &tracer,
+        &mut cal,
         &service,
         ctx.requests(PACE),
         next_pair,
@@ -109,7 +112,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.note("checked_pairs", gate.len() + sample.len());
 
     if !ctx.trace {
-        closed_loop_metrics(&mut out, &timed.latency_s, timed.elapsed_s);
+        closed_loop_metrics(&mut out, &timed.latency_s, &timed.marks, &cal);
         return out;
     }
     closed_loop_tails(&mut out, &timed.latency_s);

@@ -10,9 +10,10 @@
 //! instrumented front end.
 
 use super::{
-    approx, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails,
-    finish_trace, geer_probe, overhead_share, pair_request, spmv_probe, timed_setups,
-    zero_unexercised, Ctx, ResponseTally, EPSILON, GRAPH_SEED, SETUP_REQUEST,
+    approx, calibrator, canonical_ba, cg_reference, check_epsilon, closed_loop_metrics,
+    closed_loop_tails, finish_trace, geer_probe, overhead_share, pair_request, spmv_probe,
+    timed_setups, zero_unexercised, Ctx, ResponseTally, CANONICAL_ROWS_S, EPSILON, GRAPH_SEED,
+    SETUP_REQUEST,
 };
 use crate::gen::{poisson_schedule, Rng, Zipf};
 use crate::metrics::Outcome;
@@ -125,11 +126,13 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.note("edges", graph.num_edges());
     out.note("pool_pairs", p.pool);
     out.note("cache_capacity", p.cache_capacity);
+    let mut cal = calibrator(ctx, &graph, CANONICAL_ROWS_S);
 
     // Set-up: preprocess, spawn the one-worker server, bind HTTP.
     let (http, setup_s, setups) = timed_setups(
         ctx.setup_reps(),
         &tracer,
+        &mut cal,
         |parent| {
             let context = tracer.span("core.preprocess", SETUP_REQUEST, parent, |_| {
                 GraphContext::preprocess(graph.clone()).expect("BA graph is ergodic")
@@ -178,11 +181,11 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
     out.set("setup_s", setup_s, setups.len() as u64);
 
-    // Timed closed loop over one keep-alive connection.
+    // Timed closed loop over one keep-alive connection, with calibration
+    // slices between requests.
     let pairs: Vec<(usize, usize)> = (0..ctx.requests(PACE)).map(|_| mix.draw()).collect();
-    let start = Instant::now();
-    let replies = exchange_closed(addr, &pairs);
-    let elapsed_s = start.elapsed().as_secs_f64();
+    let mut marks = Vec::with_capacity(pairs.len());
+    let replies = closed_loop(addr, &pair_requests(&pairs), || marks.push(cal.between()));
     http.shutdown();
     for (_, reply) in &replies {
         out.count(reply.as_ref().is_some_and(|r| r.ok()));
@@ -205,7 +208,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     );
 
     let service_s: Vec<f64> = replies.iter().map(|(rtt, _)| *rtt).collect();
-    closed_loop_metrics(&mut out, &service_s, elapsed_s);
+    closed_loop_metrics(&mut out, &service_s, &marks, &cal);
     out
 }
 
@@ -214,11 +217,14 @@ fn exchange_closed(
     addr: std::net::SocketAddr,
     pairs: &[(usize, usize)],
 ) -> Vec<(f64, Option<Reply>)> {
-    let requests: Vec<Vec<u8>> = pairs
+    closed_loop(addr, &pair_requests(pairs), || {})
+}
+
+fn pair_requests(pairs: &[(usize, usize)]) -> Vec<Vec<u8>> {
+    pairs
         .iter()
         .map(|&(s, t)| pair_bytes(s, t, EPSILON, None))
-        .collect();
-    closed_loop(addr, &requests)
+        .collect()
 }
 
 /// Counts every `step`-th reply against an in-process submit of the same

@@ -5,6 +5,7 @@ pub mod geer_pairs;
 pub mod http_zipf;
 pub mod shard_cg;
 
+use crate::calib::Calibrator;
 use crate::gen::Rng;
 use crate::metrics::{Outcome, PER_LAYER};
 use crate::stats;
@@ -88,6 +89,17 @@ pub fn canonical_ba(ctx: &Ctx) -> Graph {
         .expect("BA generator parameters are valid")
 }
 
+/// Nominal time of a calibration slice's matrix rows on the canonical
+/// graph (their typical time on the 2-vCPU Intel Xeon machine the benchmark was
+/// built on).
+pub const CANONICAL_ROWS_S: f64 = 0.52e-3;
+
+/// The run's calibrator over `graph`: slices in untraced runs only, so
+/// the traced run times the same requests with nothing between them.
+pub fn calibrator(ctx: &Ctx, graph: &Graph, rows_nominal_s: f64) -> Calibrator {
+    Calibrator::new(graph, rows_nominal_s, !ctx.trace)
+}
+
 /// The accuracy every workload asks for: ε = 0.05 at δ = 0.01.
 pub const EPSILON: f64 = 0.05;
 
@@ -108,27 +120,34 @@ pub fn pair_request(s: usize, t: usize) -> Request {
 /// Request id of spans recorded while setting up (not a request).
 pub const SETUP_REQUEST: u64 = u64::MAX;
 
-/// Runs `build` `reps` times, each inside a `setup` span, and hands every
-/// build but the last to `teardown`; returns the last build, the median
-/// wall time in seconds and every time.
+/// Runs `build` `reps` times, each inside a `setup` span between two sets
+/// of calibration slices, and hands every build but the last to
+/// `teardown`; returns the last build, the median calibrated time in
+/// seconds and every wall time.
 pub fn timed_setups<T>(
     reps: usize,
     tracer: &Tracer,
+    cal: &mut Calibrator,
     mut build: impl FnMut(u32) -> T,
     mut teardown: impl FnMut(T),
 ) -> (T, f64, Vec<f64>) {
     let mut times = Vec::with_capacity(reps);
+    let mut calibrated = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps.max(1) {
         if let Some(previous) = last.take() {
             teardown(previous);
         }
+        let mark = cal.bracket();
         let start = Instant::now();
         let built = tracer.span("setup", SETUP_REQUEST, ROOT, &mut build);
-        times.push(start.elapsed().as_secs_f64());
+        let took = start.elapsed().as_secs_f64();
+        cal.bracket();
+        times.push(took);
+        calibrated.push(took / cal.chain_slowdown(mark));
         last = Some(built);
     }
-    let median = stats::median(&times);
+    let median = stats::median(&calibrated);
     (last.expect("at least one set-up"), median, times)
 }
 
@@ -160,12 +179,31 @@ pub fn check_epsilon(
     }
 }
 
-/// End-to-end figures of a closed loop with one caller: completed pairs
-/// per second and the 95th-percentile latency.
-pub fn closed_loop_metrics(out: &mut Outcome, service_s: &[f64], elapsed_s: f64) {
-    let n = service_s.len() as u64;
-    out.set("pairs_per_s", service_s.len() as f64 / elapsed_s, n);
-    out.set("p95_ms", stats::quantile(service_s, 0.95) * 1e3, n);
+/// End-to-end figures of a closed loop with one caller, each latency
+/// divided by the slowdown at its calibration mark: completed pairs per
+/// calibrated second and the 95th-percentile calibrated latency. The raw
+/// figures and the mean slowdown go into the run's record.
+pub fn closed_loop_metrics(
+    out: &mut Outcome,
+    latency_s: &[f64],
+    marks: &[usize],
+    cal: &Calibrator,
+) {
+    let n = latency_s.len() as u64;
+    let calibrated: Vec<f64> = latency_s
+        .iter()
+        .zip(marks)
+        .map(|(&l, &mark)| l / cal.slowdown(mark))
+        .collect();
+    out.set("pairs_per_s", n as f64 / calibrated.iter().sum::<f64>(), n);
+    out.set("p95_ms", stats::quantile(&calibrated, 0.95) * 1e3, n);
+    out.note("raw_pairs_per_s", n as f64 / latency_s.iter().sum::<f64>());
+    out.note("raw_p95_ms", stats::quantile(latency_s, 0.95) * 1e3);
+    out.note("calibration_slices", cal.slices());
+    let (chain, rows) = cal.mean_parts();
+    out.note("mean_slowdown", cal.mean_slowdown());
+    out.note("chain_slowdown", chain);
+    out.note("rows_slowdown", rows);
 }
 
 /// What a closed loop of pair requests through `ResistanceService::submit`
@@ -174,7 +212,8 @@ pub struct ClosedLoop {
     pub pairs: Vec<(usize, usize)>,
     pub answers: Vec<Option<f64>>,
     pub latency_s: Vec<f64>,
-    pub elapsed_s: f64,
+    /// The calibration mark of each request.
+    pub marks: Vec<usize>,
     traced_s: Vec<f64>,
     untraced_s: Vec<f64>,
     lag_s: Vec<f64>,
@@ -183,13 +222,15 @@ pub struct ClosedLoop {
 
 impl ClosedLoop {
     /// Sends `count` pairs from `next_pair` one after another, each when
-    /// the previous answer is back. In a traced run every other request
+    /// the previous answer is back, with a calibration slice between two
+    /// requests when one is due. In a traced run every other request
     /// runs inside a `request` span around `service.plan` and
     /// `service.submit`; the request id is its position.
     pub fn run(
         out: &mut Outcome,
         ctx: &Ctx,
         tracer: &Tracer,
+        cal: &mut Calibrator,
         service: &ResistanceService,
         count: usize,
         mut next_pair: impl FnMut() -> (usize, usize),
@@ -198,17 +239,17 @@ impl ClosedLoop {
             pairs: Vec::with_capacity(count),
             answers: Vec::with_capacity(count),
             latency_s: Vec::with_capacity(count),
-            elapsed_s: 0.0,
+            marks: Vec::with_capacity(count),
             traced_s: Vec::new(),
             untraced_s: Vec::new(),
             lag_s: Vec::with_capacity(count),
             tally: ResponseTally::default(),
         };
-        let start = Instant::now();
-        let mut last_end = start;
+        let mut last_end = Instant::now();
         for id in 0..count as u64 {
             let (s, t) = next_pair();
             let request = pair_request(s, t);
+            run.marks.push(cal.between());
             let traced = ctx.trace && id.is_multiple_of(2);
             let begin = Instant::now();
             run.lag_s.push((begin - last_end).as_secs_f64());
@@ -238,7 +279,6 @@ impl ClosedLoop {
             run.pairs.push((s, t));
             run.answers.push(answer.ok().map(|r| r.value()));
         }
-        run.elapsed_s = start.elapsed().as_secs_f64();
         run
     }
 

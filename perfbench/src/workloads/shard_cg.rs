@@ -8,9 +8,9 @@
 //! one at a time, for the per-layer figures.
 
 use super::{
-    approx, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails, finish_trace,
-    pair_request, spmv_probe, timed_setups, zero_unexercised, ClosedLoop, Ctx, GRAPH_SEED,
-    SETUP_REQUEST,
+    approx, calibrator, cg_reference, check_epsilon, closed_loop_metrics, closed_loop_tails,
+    finish_trace, pair_request, spmv_probe, timed_setups, zero_unexercised, ClosedLoop, Ctx,
+    GRAPH_SEED, SETUP_REQUEST,
 };
 use crate::metrics::Outcome;
 use crate::stats;
@@ -21,6 +21,10 @@ use er_graph::{generators, Graph, PartitionConfig, Partitioner};
 use er_service::ResistanceService;
 use er_shard::{ShardConfig, ShardRouter, ShardedService};
 use std::collections::HashMap;
+
+/// Nominal time of a calibration slice's matrix rows on the workload graph
+/// (see [`super::CANONICAL_ROWS_S`]).
+pub const ROWS_S: f64 = 0.15e-3;
 
 /// Pairs per second on the seed commit: a run times `PACE × seconds` pairs.
 pub const PACE: f64 = 160.0;
@@ -102,10 +106,12 @@ pub fn run(ctx: &Ctx) -> Outcome {
         ),
     );
     out.note("edges", graph.num_edges());
+    let mut cal = calibrator(ctx, &graph, ROWS_S);
 
     let (plane, setup_s, setups) = timed_setups(
         ctx.setup_reps(),
         &tracer,
+        &mut cal,
         |_| {
             ShardedService::build(graph.clone(), ShardConfig::with_shards(p.shards), approx())
                 .expect("building the shard plane")
@@ -159,9 +165,15 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
 
     let before = router.stats();
-    let timed = ClosedLoop::run(&mut out, ctx, &tracer, service, ctx.requests(PACE), || {
-        rng.pair(p.nodes)
-    });
+    let timed = ClosedLoop::run(
+        &mut out,
+        ctx,
+        &tracer,
+        &mut cal,
+        service,
+        ctx.requests(PACE),
+        || rng.pair(p.nodes),
+    );
     let after = router.stats();
 
     // Untimed: a spread sample of the timed answers against CG.
@@ -170,7 +182,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.note("checked_pairs", gate.len() + sample.len());
 
     if !ctx.trace {
-        closed_loop_metrics(&mut out, &timed.latency_s, timed.elapsed_s);
+        closed_loop_metrics(&mut out, &timed.latency_s, &timed.marks, &cal);
         return out;
     }
     closed_loop_tails(&mut out, &timed.latency_s);
