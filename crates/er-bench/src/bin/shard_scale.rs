@@ -5,9 +5,8 @@
 //! for pairs whose endpoints share a shard must be **bit-identical** to an
 //! unsharded `ResistanceService` over the same induced subgraph. Timing
 //! then measures end-to-end pairs/sec per shard count on fresh services
-//! (cold caches), and the cross-shard story is recorded alongside: mean
-//! stitched-interval width and the escalation rate under the default width
-//! threshold.
+//! (cold caches), with the number of cross-shard pairs alongside — each of
+//! those is an exact solve on the full graph.
 //!
 //! `BENCH_shard.json` (current directory — the repo root in CI) is an
 //! **append-only trajectory** keyed by git SHA, exactly like
@@ -131,10 +130,7 @@ struct ShardResult {
     shards: usize,
     pairs: usize,
     secs: f64,
-    /// Mean stitched-interval width over the workload's cross-shard pairs.
-    mean_width: f64,
-    /// Fraction of cross-shard pairs that escalated to an exact solve.
-    escalation_rate: f64,
+    /// Cross-shard pairs of the workload (each escalated to an exact solve).
     cross_pairs: u64,
 }
 
@@ -146,14 +142,11 @@ impl ShardResult {
         format!(
             "    {{\n      \"name\": \"shard_{}\",\n      \"pairs\": {},\n      \
              \"throughput\": {{\"pairs_per_sec\": {:.1}}},\n      \
-             \"cross_shard\": {{\"pairs\": {}, \"mean_width\": {:.6}, \
-             \"escalation_rate\": {:.4}}}\n    }}",
+             \"cross_shard\": {{\"pairs\": {}}}\n    }}",
             self.shards,
             self.pairs,
             self.pairs_per_sec(),
-            self.cross_pairs,
-            self.mean_width,
-            self.escalation_rate
+            self.cross_pairs
         )
     }
 }
@@ -201,8 +194,6 @@ fn main() {
         // Fresh services per rep: cold caches, so pairs/sec measures the
         // serving plane, not the facade cache.
         let mut best = f64::INFINITY;
-        let mut stats = er_shard::RouterStats::default();
-        let mut mean_width = 0.0;
         let mut cross_pairs = 0u64;
         for rep in 0..reps {
             let sharded = ShardedService::build(&graph, ShardConfig::with_shards(k), approx)
@@ -215,52 +206,32 @@ fn main() {
             }
             best = best.min(start.elapsed().as_secs_f64());
             if rep == 0 {
-                stats = sharded.router().stats();
-                let widths: Vec<f64> = pairs
-                    .iter()
-                    .filter_map(|&(s, t)| sharded.router().cross_bounds(s, t))
-                    .map(|b| b.width())
-                    .collect();
-                cross_pairs = widths.len() as u64;
-                if !widths.is_empty() {
-                    mean_width = widths.iter().sum::<f64>() / widths.len() as f64;
-                }
+                cross_pairs = sharded.router().stats().escalated;
             }
         }
-        let escalation_rate = if stats.cross + stats.escalated > 0 {
-            stats.escalated as f64 / (stats.cross + stats.escalated) as f64
-        } else {
-            0.0
-        };
         eprintln!(
-            "k = {k}: {:.1} pairs/sec, {} cross-shard (mean width {:.4}, {:.0}% escalated)",
-            pairs.len() as f64 / best,
-            cross_pairs,
-            mean_width,
-            100.0 * escalation_rate
+            "k = {k}: {:.1} pairs/sec, {cross_pairs} cross-shard",
+            pairs.len() as f64 / best
         );
         results.push(ShardResult {
             shards: k,
             pairs: pairs.len(),
             secs: best,
-            mean_width,
-            escalation_rate,
             cross_pairs,
         });
     }
 
     println!(
-        "{:<12} {:>10} {:>16} {:>12} {:>12}",
-        "shards", "pairs", "pairs/sec", "mean width", "escalated"
+        "{:<12} {:>10} {:>16} {:>12}",
+        "shards", "pairs", "pairs/sec", "cross-shard"
     );
     for r in &results {
         println!(
-            "{:<12} {:>10} {:>16.1} {:>12.4} {:>11.0}%",
+            "{:<12} {:>10} {:>16.1} {:>12}",
             r.shards,
             r.pairs,
             r.pairs_per_sec(),
-            r.mean_width,
-            100.0 * r.escalation_rate
+            r.cross_pairs
         );
     }
 

@@ -192,10 +192,9 @@ pub fn query(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
         let stats = router.stats();
         let _ = writeln!(
             out,
-            "shards: {} | intra {} | cross {} | escalated {} | edge-cut {}",
+            "shards: {} | intra {} | escalated {} | edge-cut {}",
             router.num_shards(),
             stats.intra,
-            stats.cross,
             stats.escalated,
             router.partition().edge_cut
         );
@@ -546,9 +545,9 @@ COMMON FLAGS:
     --threads <n>               worker threads for parallel sampling (default 0 = all
                                 cores; results are identical at any thread count)
     --shards <n>                serve over an n-way graph partition (query/serve):
-                                intra-shard answers are bit-identical to unsharded,
-                                cross-shard answers come from sound boundary-landmark
-                                intervals with exact escalation
+                                intra-shard answers are the shard subgraph's, bit-
+                                identical to an unsharded service over it; cross-
+                                shard answers are exact solves on the full graph
 "
     .to_string()
 }

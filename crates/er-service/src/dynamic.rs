@@ -396,13 +396,6 @@ impl DynamicResistanceService {
         self.lock_inner().cg_fallbacks
     }
 
-    /// Total refresh work paid so far. Kept for back-compatibility; prefer
-    /// the split [`snapshot_rebuilds`](Self::snapshot_rebuilds) /
-    /// [`service_refreshes`](Self::service_refreshes) counters.
-    pub fn rebuilds(&self) -> u64 {
-        self.snapshot_rebuilds()
-    }
-
     /// The currently installed epoch, if any, without triggering a refresh.
     /// Readers may pin the returned `Arc` and keep querying a consistent
     /// (possibly stale) snapshot while mutations proceed.

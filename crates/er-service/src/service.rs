@@ -105,9 +105,6 @@ struct ServiceCore {
     config: ApproxConfig,
     planner: Planner,
     landmark_count: usize,
-    /// Extra landmark nodes the LANDMARK backend must include (the sharded
-    /// serving plane pins each shard's boundary portals here).
-    required_landmarks: Vec<NodeId>,
     /// When set, planner-routed pair-shaped requests bypass the
     /// [`BackendChoice`] registry and are answered by this backend instead —
     /// the integration point of routing layers like the shard router.
@@ -262,7 +259,6 @@ impl ResistanceService {
                 config,
                 planner: Planner::default(),
                 landmark_count: Self::DEFAULT_LANDMARKS,
-                required_landmarks: Vec::new(),
                 router: None,
             }),
             caches: CacheTier::new(Self::DEFAULT_CACHE_CAPACITY),
@@ -303,16 +299,6 @@ impl ResistanceService {
     #[must_use]
     pub fn with_landmarks(mut self, count: usize) -> Self {
         self.core_mut().landmark_count = count.max(1);
-        self
-    }
-
-    /// Pins specific nodes as landmarks of the LANDMARK backend (they come
-    /// first, topped up to [`with_landmarks`](Self::with_landmarks) by the
-    /// mixed selection). The sharded serving plane pins each shard's
-    /// boundary portals so bound queries are anchored at the cut.
-    #[must_use]
-    pub fn with_required_landmarks(mut self, nodes: Vec<NodeId>) -> Self {
-        self.core_mut().required_landmarks = nodes;
         self
     }
 
@@ -936,29 +922,12 @@ impl ResistanceService {
                     .lock()
                     .expect("landmark slot poisoned");
                 if slot.is_none() {
-                    let index = if self.core.required_landmarks.is_empty() {
-                        LandmarkIndex::build(
-                            self.core.context.graph(),
-                            self.core.landmark_count,
-                            LandmarkSelection::Mixed,
-                            self.core.config.seed,
-                        )?
-                    } else {
-                        // Required landmarks (e.g. a shard's boundary portals)
-                        // claim the leading positions; the mixed selection
-                        // tops the set up to the configured count.
-                        let extra = self
-                            .core
-                            .landmark_count
-                            .saturating_sub(self.core.required_landmarks.len());
-                        LandmarkIndex::build_with_required(
-                            self.core.context.graph(),
-                            &self.core.required_landmarks,
-                            extra,
-                            LandmarkSelection::Mixed,
-                            self.core.config.seed,
-                        )?
-                    };
+                    let index = LandmarkIndex::build(
+                        self.core.context.graph(),
+                        self.core.landmark_count,
+                        LandmarkSelection::Mixed,
+                        self.core.config.seed,
+                    )?;
                     *slot = Some(Arc::new(LandmarkBackend::new(index)));
                 }
                 slot.clone().expect("memoized above")
@@ -1386,29 +1355,6 @@ mod tests {
             .submit(&Request::new(Query::single_source(0)).with_accuracy(Accuracy::Exact))
             .unwrap();
         assert_ne!(source.backend, "CONST-ROUTER");
-    }
-
-    #[test]
-    fn required_landmarks_reach_the_landmark_backend() {
-        let g = generators::social_network_like(90, 8.0, 11).unwrap();
-        let s = ResistanceService::new(&g)
-            .unwrap()
-            .with_required_landmarks(vec![3, 7]);
-        // An exact landmark pair: r(3, 7) upper == lower when one endpoint
-        // is itself a landmark, so the bound midpoint is exact there.
-        let response = s
-            .submit(&Request::new(Query::pair(3, 7)).with_backend(BackendChoice::Landmark))
-            .unwrap();
-        assert_eq!(response.backend, "LANDMARK");
-        let exact = s
-            .submit(&Request::new(Query::pair(3, 7)).with_accuracy(Accuracy::Exact))
-            .unwrap();
-        assert!(
-            (response.value() - exact.value()).abs() < 1e-6,
-            "landmark endpoint pairs are exact: {} vs {}",
-            response.value(),
-            exact.value()
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Configuration of the sharded serving plane.
 
-/// How the graph is split and how cross-shard queries are answered.
+/// How the graph is split into shards.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardConfig {
     /// Number of shards to aim for. Clamped to the node count; shards whose
@@ -12,19 +12,7 @@ pub struct ShardConfig {
     pub balance_slack: f64,
     /// Label-propagation refinement sweeps of the partitioner.
     pub sweeps: usize,
-    /// Maximum number of boundary portals per shard. Portals are the
-    /// highest-degree boundary nodes; more portals tighten cross-shard
-    /// bounds at the cost of one global Laplacian solve each at build time.
-    pub max_portals: usize,
-    /// Cross-shard intervals wider than this escalate to a global exact
-    /// solve (when [`escalate`](Self::escalate) is on).
-    pub width_threshold: f64,
-    /// Whether wide cross-shard intervals escalate at all. With escalation
-    /// off the router always answers the interval midpoint (requests with
-    /// `Accuracy::Exact` still escalate — an interval midpoint is not an
-    /// exact answer).
-    pub escalate: bool,
-    /// Seed for the partitioner and the per-shard landmark top-ups.
+    /// Seed for the partitioner.
     pub seed: u64,
 }
 
@@ -34,9 +22,6 @@ impl Default for ShardConfig {
             num_shards: 2,
             balance_slack: 0.1,
             sweeps: 8,
-            max_portals: 16,
-            width_threshold: 0.25,
-            escalate: true,
             seed: 0x5eed,
         }
     }
@@ -51,28 +36,7 @@ impl ShardConfig {
         }
     }
 
-    /// Sets the escalation width threshold.
-    #[must_use]
-    pub fn with_width_threshold(mut self, width: f64) -> Self {
-        self.width_threshold = width;
-        self
-    }
-
-    /// Sets the per-shard portal cap.
-    #[must_use]
-    pub fn with_max_portals(mut self, max_portals: usize) -> Self {
-        self.max_portals = max_portals.max(1);
-        self
-    }
-
-    /// Turns escalation on or off.
-    #[must_use]
-    pub fn with_escalation(mut self, escalate: bool) -> Self {
-        self.escalate = escalate;
-        self
-    }
-
-    /// Sets the partitioner/landmark seed.
+    /// Sets the partitioner seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -86,15 +50,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = ShardConfig::with_shards(4)
-            .with_width_threshold(0.5)
-            .with_max_portals(8)
-            .with_escalation(false)
-            .with_seed(7);
+        let c = ShardConfig::with_shards(4).with_seed(7);
         assert_eq!(c.num_shards, 4);
-        assert_eq!(c.width_threshold, 0.5);
-        assert_eq!(c.max_portals, 8);
-        assert!(!c.escalate);
         assert_eq!(c.seed, 7);
         assert_eq!(ShardConfig::with_shards(0).num_shards, 1);
     }

@@ -11,25 +11,14 @@
 //!   service over the same induced subgraph, because the per-shard services
 //!   run the same planner, the same estimator configuration and the same
 //!   content-derived RNG streams on the same local node ids.
-//! * **Cross-shard** pairs are answered from a sound interval stitched out
-//!   of boundary-landmark distances. Each shard pins its boundary *portals*
-//!   as landmarks of a shard-local index; the [`BoundaryIndex`] stores the
-//!   exact *global* resistance between every pair of portals. Because `√r`
-//!   is a metric and shard-local resistances only overestimate global ones
-//!   (Rayleigh monotonicity: deleting the rest of the graph can only raise
-//!   resistance), the triangle inequality composes the two soundly:
+//! * **Cross-shard** pairs are *escalated*: the router answers them with an
+//!   exact CG solve on the full graph, whatever the requested accuracy.
 //!
-//!   ```text
-//!   upper = min over portals a ∈ shard(s), b ∈ shard(t) of
-//!           (√r_A(s,a) + √r_G(a,b) + √r_B(b,t))²
-//!   lower = max over the same portals of
-//!           max(0, √r_G(a,b) − √r_A(s,a) − √r_B(b,t))²
-//!   ```
-//!
-//!   The router answers with the interval midpoint; when the interval is
-//!   wider than [`ShardConfig::width_threshold`] (or the request demands
-//!   [`Accuracy::Exact`](er_service::Accuracy)) it *escalates* to a global
-//!   exact CG solve instead.
+//! An intra-shard answer is the effective resistance of the shard's
+//! *induced subgraph*, not of the full graph. By Rayleigh monotonicity
+//! (deleting the rest of the graph can only raise resistance) it
+//! overestimates the full-graph value, often by far more than ε: the
+//! ε guarantee holds against the shard subgraph only.
 //!
 //! [`ShardedService`] bundles the partition, the per-shard services and the
 //! router behind the ordinary service front door: it is a full-graph
@@ -40,12 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boundary;
 pub mod config;
 pub mod router;
 pub mod service;
 
-pub use boundary::BoundaryIndex;
 pub use config::ShardConfig;
-pub use router::{RouteKind, RoutedAnswer, RouterStats, ShardRouter};
+pub use router::{RouterStats, ShardRouter};
 pub use service::ShardedService;

@@ -1,53 +1,20 @@
 //! The cross-shard query router.
 
-use crate::boundary::BoundaryIndex;
 use crate::config::ShardConfig;
 use er_core::{ApproxConfig, CostBreakdown, Exact, GraphContext, ResistanceEstimator};
 use er_graph::transform::induced_subgraph;
 use er_graph::{NodeId, Partition, SubgraphMap};
-use er_index::{LandmarkBounds, LandmarkIndex, LandmarkSelection};
 use er_service::{
-    Accuracy, Backend, Plan, Query, QueryShapeSet, Request, ResistanceService, Response,
-    ServiceError, StreamPlan,
+    Backend, Plan, Query, QueryShapeSet, Request, ResistanceService, Response, ServiceError,
+    StreamPlan,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One shard of the serving plane: its service over the induced subgraph,
-/// the global↔local id mapping, and a shard-local landmark index anchored
-/// at the shard's boundary portals.
+/// One shard of the serving plane: its service over the induced subgraph
+/// and the global↔local id mapping.
 struct ShardContext {
     service: ResistanceService,
     map: SubgraphMap,
-    /// Landmark index over the shard subgraph whose leading landmarks are
-    /// exactly this shard's portals, in [`BoundaryIndex::portals_of`] order —
-    /// position `i` here and portal `i` there refer to the same node.
-    /// `None` only for a portal-free topology (a single shard).
-    portals: Option<LandmarkIndex>,
-}
-
-/// How one pair was answered.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RouteKind {
-    /// Both endpoints in one shard: forwarded to the owning service.
-    Intra,
-    /// Endpoints in different shards: answered from the stitched interval
-    /// midpoint.
-    CrossBounds,
-    /// Cross-shard with an interval wider than the threshold (or an exact
-    /// request): answered by a global exact solve.
-    Escalated,
-}
-
-/// A routed answer with its provenance.
-#[derive(Clone, Copy, Debug)]
-pub struct RoutedAnswer {
-    /// The resistance value (estimate, interval midpoint, or exact).
-    pub value: f64,
-    /// The stitched cross-shard interval, when one was computed (also
-    /// populated for escalated pairs — it is what triggered escalation).
-    pub bounds: Option<LandmarkBounds>,
-    /// How the pair was served.
-    pub kind: RouteKind,
 }
 
 /// Counters of routed traffic, snapshotted by [`ShardRouter::stats`].
@@ -55,7 +22,8 @@ pub struct RoutedAnswer {
 pub struct RouterStats {
     /// Pairs forwarded to a single owning shard.
     pub intra: u64,
-    /// Cross-shard pairs answered from the stitched interval.
+    /// Cross-shard pairs answered without a global solve. Always 0: every
+    /// cross-shard pair escalates.
     pub cross: u64,
     /// Cross-shard pairs escalated to a global exact solve.
     pub escalated: u64,
@@ -64,7 +32,6 @@ pub struct RouterStats {
 #[derive(Default)]
 struct AtomicStats {
     intra: AtomicU64,
-    cross: AtomicU64,
     escalated: AtomicU64,
 }
 
@@ -74,7 +41,8 @@ struct AtomicStats {
 /// [`ResistanceService`] via `with_pair_router` — planner-routed `Pair`,
 /// `Batch` and `EdgeSet` requests then flow through the shards while
 /// source-shaped queries and explicit backend overrides keep their ordinary
-/// path. See the crate docs for the bound-stitching math.
+/// path. Intra-shard pairs go to the owning shard's service; cross-shard
+/// pairs escalate to an exact CG solve on the full graph.
 ///
 /// ```
 /// use er_shard::{ShardConfig, ShardedService};
@@ -89,17 +57,14 @@ struct AtomicStats {
 ///
 /// let router = sharded.router();
 /// let stats = router.stats();
-/// assert_eq!(stats.intra + stats.cross + stats.escalated, 1);
-/// if router.shard_of(0) != router.shard_of(40) {
-///     // Cross-shard: the answer came from a sound stitched interval.
-///     let bounds = router.cross_bounds(0, 40).unwrap();
-///     assert!(bounds.lower <= bounds.upper);
-/// }
+/// assert_eq!(stats.intra + stats.escalated, 1);
+/// assert_eq!(stats.cross, 0);
+/// let cross_shard = router.shard_of(0) != router.shard_of(40);
+/// assert_eq!(stats.escalated, u64::from(cross_shard));
 /// ```
 pub struct ShardRouter {
     partition: Partition,
     shards: Vec<ShardContext>,
-    boundary: BoundaryIndex,
     /// Preprocessed full graph, for escalation solves.
     global: GraphContext,
     config: ShardConfig,
@@ -107,8 +72,7 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Builds the per-shard services, portal landmark indexes and the
-    /// portal-portal distance table for an existing partition.
+    /// Builds the per-shard services for an existing partition.
     ///
     /// Fails with the underlying estimator error when a shard's induced
     /// subgraph is not ergodic (disconnected parts cannot occur for a
@@ -120,40 +84,16 @@ impl ShardRouter {
         config: ShardConfig,
         approx: ApproxConfig,
     ) -> Result<Self, ServiceError> {
-        let graph = global.graph();
-        let boundary = BoundaryIndex::build(graph, &partition, config.max_portals, approx.threads);
         let mut shards = Vec::with_capacity(partition.num_parts);
         for p in 0..partition.num_parts {
-            let (subgraph, map) = induced_subgraph(graph, &partition.part_nodes(p))
+            let (subgraph, map) = induced_subgraph(global.graph(), &partition.part_nodes(p))
                 .map_err(|e| ServiceError::Index(er_index::IndexError::Graph(e)))?;
-            let local_portals: Vec<NodeId> = boundary
-                .portals_of(p)
-                .iter()
-                .map(|&v| map.local_of(v).expect("portals lie inside their shard"))
-                .collect();
-            let portals = if local_portals.is_empty() {
-                None
-            } else {
-                Some(LandmarkIndex::build_with_required(
-                    &subgraph,
-                    &local_portals,
-                    0,
-                    LandmarkSelection::Mixed,
-                    config.seed,
-                )?)
-            };
-            let service = ResistanceService::with_config(subgraph, approx)?
-                .with_required_landmarks(local_portals);
-            shards.push(ShardContext {
-                service,
-                map,
-                portals,
-            });
+            let service = ResistanceService::with_config(subgraph, approx)?;
+            shards.push(ShardContext { service, map });
         }
         Ok(ShardRouter {
             partition,
             shards,
-            boundary,
             global,
             config,
             stats: AtomicStats::default(),
@@ -168,11 +108,6 @@ impl ShardRouter {
     /// The router's configuration.
     pub fn config(&self) -> &ShardConfig {
         &self.config
-    }
-
-    /// The portal distance table.
-    pub fn boundary_index(&self) -> &BoundaryIndex {
-        &self.boundary
     }
 
     /// Number of shards actually serving.
@@ -192,109 +127,9 @@ impl ShardRouter {
     pub fn stats(&self) -> RouterStats {
         RouterStats {
             intra: self.stats.intra.load(Ordering::Relaxed),
-            cross: self.stats.cross.load(Ordering::Relaxed),
+            cross: 0,
             escalated: self.stats.escalated.load(Ordering::Relaxed),
         }
-    }
-
-    /// The sound interval for a cross-shard pair (`None` when both
-    /// endpoints live in the same shard — those are forwarded, not
-    /// stitched).
-    ///
-    /// Soundness: `√r` is a metric on the full graph and shard-local
-    /// resistances dominate global ones (Rayleigh monotonicity), so for
-    /// every portal pair `(a, b)` the path `s → a → b → t` upper-bounds
-    /// `√r_G(s, t)` by `√r_A(s,a) + √r_G(a,b) + √r_B(b,t)` and the reverse
-    /// triangle lower-bounds it by `√r_G(a,b) − √r_A(s,a) − √r_B(b,t)`.
-    pub fn cross_bounds(&self, s: NodeId, t: NodeId) -> Option<LandmarkBounds> {
-        let (sa, sb) = (self.shard_of(s), self.shard_of(t));
-        if sa == sb {
-            return None;
-        }
-        let ctx_a = &self.shards[sa];
-        let ctx_b = &self.shards[sb];
-        let (la, lb) = (
-            ctx_a.map.local_of(s).expect("s lies in its shard"),
-            ctx_b.map.local_of(t).expect("t lies in its shard"),
-        );
-        let index_a = ctx_a.portals.as_ref().expect("multi-shard has portals");
-        let index_b = ctx_b.portals.as_ref().expect("multi-shard has portals");
-        let num_a = self.boundary.portals_of(sa).len();
-        let num_b = self.boundary.portals_of(sb).len();
-        let mut lower: f64 = 0.0;
-        let mut upper = f64::INFINITY;
-        for i in 0..num_a {
-            let da = index_a.sqrt_resistance(i, la);
-            for j in 0..num_b {
-                let db = index_b.sqrt_resistance(j, lb);
-                let dab = self.boundary.sqrt_between(sa, i, sb, j);
-                let high = da + dab + db;
-                upper = upper.min(high * high);
-                let low = (dab - da - db).max(0.0);
-                lower = lower.max(low * low);
-            }
-        }
-        Some(LandmarkBounds { lower, upper })
-    }
-
-    /// Whether a cross-shard interval escalates under `accuracy`.
-    fn escalates(&self, bounds: &LandmarkBounds, accuracy: Accuracy) -> bool {
-        matches!(accuracy, Accuracy::Exact)
-            || (self.config.escalate && bounds.width() > self.config.width_threshold)
-    }
-
-    /// Routes one pair end to end (the single-pair face of the [`Backend`]
-    /// implementation; tests and benches use it to inspect provenance).
-    pub fn route(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        accuracy: Accuracy,
-    ) -> Result<RoutedAnswer, ServiceError> {
-        match self.cross_bounds(s, t) {
-            None => {
-                let shard = self.shard_of(s);
-                let ctx = &self.shards[shard];
-                let pair = (
-                    ctx.map.local_of(s).expect("s lies in its shard"),
-                    ctx.map.local_of(t).expect("t lies in its shard"),
-                );
-                let response = ctx
-                    .service
-                    .submit(&Request::new(Query::pair(pair.0, pair.1)).with_accuracy(accuracy))?;
-                self.stats.intra.fetch_add(1, Ordering::Relaxed);
-                Ok(RoutedAnswer {
-                    value: response.value(),
-                    bounds: None,
-                    kind: RouteKind::Intra,
-                })
-            }
-            Some(bounds) => {
-                if self.escalates(&bounds, accuracy) {
-                    let (value, _) = self.escalate(s, t)?;
-                    self.stats.escalated.fetch_add(1, Ordering::Relaxed);
-                    Ok(RoutedAnswer {
-                        value,
-                        bounds: Some(bounds),
-                        kind: RouteKind::Escalated,
-                    })
-                } else {
-                    self.stats.cross.fetch_add(1, Ordering::Relaxed);
-                    Ok(RoutedAnswer {
-                        value: bounds.estimate(),
-                        bounds: Some(bounds),
-                        kind: RouteKind::CrossBounds,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Global exact CG solve for an escalated pair.
-    fn escalate(&self, s: NodeId, t: NodeId) -> Result<(f64, CostBreakdown), ServiceError> {
-        let mut exact = Exact::with_solver(&self.global);
-        let estimate = exact.estimate(s, t)?;
-        Ok((estimate.value, estimate.cost))
     }
 }
 
@@ -310,7 +145,7 @@ impl Backend for ShardRouter {
     /// Answers a pair-shaped plan: intra-shard items are grouped per shard
     /// and forwarded as one local batch each (the owning service dedups,
     /// caches and parallelises exactly as an unsharded service would);
-    /// cross-shard items are stitched or escalated individually.
+    /// cross-shard items are solved exactly on the full graph, one by one.
     ///
     /// The `StreamPlan` is ignored: per-shard services re-derive RNG streams
     /// from local pair content, which is what makes intra-shard answers
@@ -360,19 +195,11 @@ impl Backend for ShardRouter {
         }
         for slot in cross {
             let item = &plan.items[slot];
-            let bounds = self
-                .cross_bounds(item.s, item.t)
-                .expect("slot was classified cross-shard");
-            if self.escalates(&bounds, plan.accuracy) {
-                let (value, exact_cost) = self.escalate(item.s, item.t)?;
-                values[slot] = value;
-                item_costs[slot] = exact_cost;
-                cost += exact_cost;
-                self.stats.escalated.fetch_add(1, Ordering::Relaxed);
-            } else {
-                values[slot] = bounds.estimate();
-                self.stats.cross.fetch_add(1, Ordering::Relaxed);
-            }
+            let exact = Exact::with_solver(&self.global).estimate(item.s, item.t)?;
+            values[slot] = exact.value;
+            item_costs[slot] = exact.cost;
+            cost += exact.cost;
+            self.stats.escalated.fetch_add(1, Ordering::Relaxed);
             backend_calls += 1;
         }
         Ok(Response {

@@ -12,8 +12,8 @@ use std::sync::Arc;
 /// `ShardedService` is a full-graph [`ResistanceService`] whose
 /// planner-routed pair traffic flows through a [`ShardRouter`]: intra-shard
 /// pairs are answered by the owning shard's own service (bit-identical to an
-/// unsharded service over that subgraph), cross-shard pairs from stitched
-/// boundary-landmark intervals with exact-solve escalation. Everything that
+/// unsharded service over that subgraph), cross-shard pairs by an exact
+/// solve on the full graph. Everything that
 /// consumes a `ResistanceService` — the server worker pool, the HTTP front
 /// end, sessions — works on [`service`](Self::service) /
 /// [`into_service`](Self::into_service) unchanged.
@@ -79,7 +79,7 @@ impl ShardedService {
         self.service
     }
 
-    /// The router, for partition, bounds and traffic-statistics inspection.
+    /// The router, for partition and traffic-statistics inspection.
     pub fn router(&self) -> &Arc<ShardRouter> {
         &self.router
     }

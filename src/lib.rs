@@ -20,9 +20,9 @@
 //!   cross-client coalescing and deadline-aware scheduling).
 //! * [`shard`] (= `er-shard`) — the **sharded serving plane**: graph
 //!   partitioning into balanced connected parts, one service per shard,
-//!   and a boundary-landmark [`ShardRouter`] that answers intra-shard pairs
-//!   bit-identically to an unsharded service and cross-shard pairs with
-//!   sound stitched intervals plus exact-solve escalation
+//!   and a [`ShardRouter`] that answers intra-shard pairs bit-identically
+//!   to an unsharded service over the shard's induced subgraph and
+//!   cross-shard pairs with an exact solve on the full graph
 //!   ([`ShardedService`]).
 //! * [`http`] (= `er-http`) — a std-only HTTP/1.1 front end
 //!   ([`HttpServer`]) serving `POST /query`, `GET /metrics` and
@@ -86,8 +86,9 @@ pub mod service {
     pub use er_service::*;
 }
 
-/// Sharded serving: graph partitioning, per-shard services and the
-/// cross-shard boundary-landmark router (re-export of the `er-shard` crate).
+/// Sharded serving: graph partitioning, per-shard services and the router
+/// that escalates cross-shard pairs to an exact solve (re-export of the
+/// `er-shard` crate).
 pub mod shard {
     pub use er_shard::*;
 }
