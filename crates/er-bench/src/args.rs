@@ -15,8 +15,8 @@
 //! * `--threads N` — worker threads for the parallel sampling layer
 //!   (default 0 = all cores; results are identical at any thread count).
 //! * `--quick` — flag (no value): shrink repetitions/measurement windows to
-//!   CI-smoke size while keeping the workload shape (used by the perf-smoke
-//!   job so every PR records a comparable number).
+//!   CI-smoke size while keeping the workload shape (CI runs `walk_kernel`
+//!   this way for its bit-identity asserts).
 
 use std::time::Duration;
 
@@ -94,13 +94,20 @@ impl BenchArgs {
                     let secs: f64 = value()?
                         .parse()
                         .map_err(|e| format!("bad --budget-secs: {e}"))?;
-                    out.budget = Duration::from_secs_f64(secs);
+                    out.budget = Duration::try_from_secs_f64(secs)
+                        .map_err(|_| format!("bad --budget-secs: {secs} is not a duration"))?;
                 }
                 "--epsilons" => {
                     let list = value()?;
-                    let eps: Result<Vec<f64>, _> =
-                        list.split(',').map(|s| s.trim().parse::<f64>()).collect();
-                    out.epsilons = Some(eps.map_err(|e| format!("bad --epsilons: {e}"))?);
+                    let eps = list
+                        .split(',')
+                        .map(|s| match s.trim().parse::<f64>() {
+                            Ok(e) if e.is_finite() && e > 0.0 => Ok(e),
+                            Ok(e) => Err(format!("bad --epsilons: {e} is not a positive number")),
+                            Err(e) => Err(format!("bad --epsilons: {e}")),
+                        })
+                        .collect::<Result<Vec<f64>, String>>()?;
+                    out.epsilons = Some(eps);
                 }
                 "--datasets" => {
                     out.datasets =
@@ -201,5 +208,11 @@ mod tests {
         assert!(parse(&["--queries", "many"]).is_err());
         assert!(parse(&["--scale", "huge"]).is_err());
         assert!(parse(&["--help"]).is_err());
+        for budget in ["-1", "nan", "inf", "-inf"] {
+            assert!(parse(&["--budget-secs", budget]).is_err(), "{budget}");
+        }
+        for eps in ["nan", "0", "-0.1", "inf", "0.5,nan"] {
+            assert!(parse(&["--epsilons", eps]).is_err(), "{eps}");
+        }
     }
 }

@@ -1,11 +1,12 @@
-//! Frozen reproductions of superseded hot paths, kept so the perf trajectory
-//! always measures against the same baseline.
+//! Frozen reproductions of superseded hot paths, kept so the walk-kernel
+//! bench always measures against the same baseline.
 //!
-//! The `walk_kernel` binary and bench both compare the current walk kernel
-//! against [`pr1_endpoint_histogram`] — the bulk endpoint-histogram operation
-//! exactly as PR 1 shipped it. Do not "fix" or modernise this code: its whole
-//! value is that it stays identical to what the recorded numbers in
-//! `BENCH_walk_kernel.json` were measured against.
+//! The `walk_kernel` binary compares the current walk kernel against
+//! [`pr1_endpoint_histogram`] — the bulk endpoint-histogram operation exactly
+//! as it ran before the kernel landed — and asserts both produce the same
+//! walks. Do not "fix" or modernise this code: its whole value is that it
+//! stays identical to what the frozen numbers in `BENCH_walk_kernel.json`
+//! were measured against.
 
 use er_graph::{Graph, NodeId};
 use er_walks::par;

@@ -1,7 +1,7 @@
 //! Walk-kernel micro-benchmark: the PR-1 bulk-sampling path vs the
 //! zero-allocation kernel, on a 100k-node Barabási–Albert graph.
 //!
-//! Two workloads, both single-threaded so the numbers isolate the per-walk
+//! Five workloads, all single-threaded so the numbers isolate the per-walk
 //! constant factor rather than parallel speedup:
 //!
 //! * `histogram_query` — many medium-sized `endpoint_histogram` queries (the
@@ -12,47 +12,36 @@
 //!   hides the dependent cache-miss chain of each walk.
 //! * `mc_escape` — MC-shaped variable-length escape walks: per-walk
 //!   `escape_walk` stepping vs the variable-length lockstep lanes with
-//!   immediate refill (`escape_trials`); the `mc_escape_walks_per_sec`
-//!   metric in the trajectory entry.
+//!   immediate refill (`escape_trials`).
 //! * `amc_paired` — AMC-shaped walk pairs: sequential s-then-t walks per
-//!   pair vs the paired lockstep driver (`batch_pairs`); the
-//!   `amc_paired_pairs_per_sec` metric.
+//!   pair vs the paired lockstep driver (`batch_pairs`).
 //! * `wilson_trees` — HAY-shaped uniform spanning trees: the sequential
 //!   per-tree Wilson sampler vs the multi-root lockstep driver
 //!   (`sample_spanning_trees`), with every tree's edge fingerprint and draw
-//!   count asserted bit-identical before timing; the
-//!   `wilson_trees_per_sec` metric.
+//!   count asserted bit-identical before timing.
 //!
 //! A lane-width sweep (8/16/32 lanes, fixed-length bulk walks) runs at 1, 2
-//! and 8 threads, prints next to the `LaneWidth::auto` pick and lands in the
-//! entry's `lane_sweep` object — the calibration data behind the heuristic's
-//! thresholds (tuned on a 1-CPU container; the per-thread sections record
-//! whether multi-core hardware disagrees). A prefetch on/off sweep times the
-//! bulk and Wilson drivers with prefetch-ahead forced off and on and reports
-//! the off/on time ratios as the `prefetch_speedup` /
-//! `prefetch_speedup_wilson` metrics — the measurements behind the kernel's
-//! prefetch defaults (off for wide drivers, on for the narrow Wilson lanes).
-//! Every workload asserts bit-identical results between the old and kernel
-//! paths before timing them.
+//! and 8 threads and prints next to the `LaneWidth::auto` pick — the
+//! calibration data behind the heuristic's thresholds (tuned on a 1-CPU
+//! machine; the per-thread rows show whether multi-core hardware disagrees).
+//! A prefetch on/off sweep times the bulk and Wilson drivers with
+//! prefetch-ahead forced off and on and prints the off/on time ratios — the
+//! measurements behind the kernel's prefetch defaults (off for wide drivers,
+//! on for the narrow Wilson lanes). Every workload asserts bit-identical
+//! results between the old and kernel paths before timing them.
 //!
 //! The old path is reproduced inline exactly as `WalkEngine` ran it before
 //! the kernel landed (per-walk `StdRng::seed_from_u64(mix_seed(seed, i))`,
 //! `Graph::random_neighbor` stepping, `vec![0; n]` tally). The binary also
 //! cross-checks that the kernel path stays bit-identical at 1/2/8 threads.
-//!
-//! `BENCH_walk_kernel.json` (current directory — the repo root in CI) is an
-//! **append-only trajectory**: a JSON array with one entry per PR, keyed by
-//! git SHA. The binary appends its entry, replacing an existing entry for
-//! the same SHA (re-runs must not duplicate), and never drops history — so
-//! CI can diff the newest entry against the previous one. Override the key
-//! with `BENCH_GIT_SHA=<sha>` when git is unavailable.
+//! It prints its figures and writes no file; the end-to-end serving
+//! benchmark lives in `perfbench/`.
 //!
 //! Run with `cargo run --release -p er-bench --bin walk_kernel [--quick]
 //! [--seed N]`.
 
 use er_bench::args::BenchArgs;
 use er_bench::baseline::pr1_endpoint_histogram;
-use er_bench::trajectory::{append_to_trajectory, git_sha};
 use er_graph::{generators, Graph};
 use er_walks::hitting::{escape_trials, escape_walk, EscapeOutcome, EscapeTally};
 use er_walks::kernel::LaneWidth;
@@ -81,7 +70,6 @@ struct WorkloadResult {
     name: &'static str,
     queries: u64,
     walks_per_query: u64,
-    walk_len: usize,
     old_secs: f64,
     kernel_secs: f64,
 }
@@ -104,25 +92,6 @@ impl WorkloadResult {
     }
     fn speedup(&self) -> f64 {
         self.old_secs / self.kernel_secs
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\n      \"name\": \"{}\",\n      \"queries\": {},\n      \
-             \"walks_per_query\": {},\n      \"walk_len\": {},\n      \
-             \"old\": {{\"walks_per_sec\": {:.0}, \"query_ms\": {:.4}}},\n      \
-             \"kernel\": {{\"walks_per_sec\": {:.0}, \"query_ms\": {:.4}}},\n      \
-             \"speedup\": {:.3}\n    }}",
-            self.name,
-            self.queries,
-            self.walks_per_query,
-            self.walk_len,
-            self.old_walks_per_sec(),
-            self.old_query_ms(),
-            self.kernel_walks_per_sec(),
-            self.kernel_query_ms(),
-            self.speedup()
-        )
     }
 }
 
@@ -166,7 +135,6 @@ fn run_workload(
         name,
         queries,
         walks_per_query,
-        walk_len,
         old_secs,
         kernel_secs,
     }
@@ -219,7 +187,6 @@ fn run_mc_escape(
         name: "mc_escape",
         queries: 1,
         walks_per_query: trials,
-        walk_len: max_steps,
         old_secs,
         kernel_secs,
     }
@@ -287,7 +254,6 @@ fn run_amc_paired(graph: &Graph, pairs: u64, len: usize, seed: u64, reps: usize)
         name: "amc_paired",
         queries: 1,
         walks_per_query: pairs,
-        walk_len: len,
         old_secs,
         kernel_secs,
     }
@@ -353,7 +319,6 @@ fn run_wilson_trees(graph: &Graph, trees: u64, seed: u64, reps: usize) -> Worklo
         name: "wilson_trees",
         queries: 1,
         walks_per_query: trees,
-        walk_len: 0,
         old_secs,
         kernel_secs,
     }
@@ -550,68 +515,9 @@ fn main() {
         );
     }
 
-    let deterministic = check_determinism(&graph, args.seed);
     assert!(
-        deterministic,
+        check_determinism(&graph, args.seed),
         "kernel path must be bit-identical at 1/2/8 threads"
     );
     println!("determinism: kernel results bit-identical at 1/2/8 threads");
-
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let sha = git_sha();
-    let mc_escape = workloads
-        .iter()
-        .find(|w| w.name == "mc_escape")
-        .expect("mc_escape workload present");
-    let amc_paired = workloads
-        .iter()
-        .find(|w| w.name == "amc_paired")
-        .expect("amc_paired workload present");
-    let wilson = workloads
-        .iter()
-        .find(|w| w.name == "wilson_trees")
-        .expect("wilson_trees workload present");
-    let sweep_json = sweeps
-        .iter()
-        .map(|(threads, sweep)| {
-            let rows = sweep
-                .iter()
-                .map(|(width, rate)| format!("\"{width:?}\": {rate:.0}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("\"threads_{threads}\": {{{rows}}}")
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let entry = format!(
-        "{{\n  \"bench\": \"walk_kernel\",\n  \"git_sha\": \"{sha}\",\n  \
-         \"created_unix\": {created},\n  \
-         \"quick\": {},\n  \"seed\": {},\n  \
-         \"graph\": {{\"model\": \"barabasi_albert\", \"nodes\": {}, \"attach\": {attach}, \
-         \"edges\": {}}},\n  \
-         \"determinism\": {{\"threads_checked\": [1, 2, 8], \"bit_identical\": {deterministic}}},\n  \
-         \"metrics\": {{\"mc_escape_walks_per_sec\": {:.0}, \"amc_paired_pairs_per_sec\": {:.0}, \
-         \"wilson_trees_per_sec\": {:.2}, \"prefetch_speedup\": {prefetch_bulk:.3}, \
-         \"prefetch_speedup_wilson\": {prefetch_wilson:.3}}},\n  \
-         \"lane_sweep\": {{{sweep_json}, \"auto\": \"{auto:?}\"}},\n  \
-         \"workloads\": [\n{}\n  ]\n}}",
-        args.quick,
-        args.seed,
-        graph.num_nodes(),
-        graph.num_edges(),
-        mc_escape.kernel_walks_per_sec(),
-        amc_paired.kernel_walks_per_sec(),
-        wilson.kernel_walks_per_sec(),
-        workloads
-            .iter()
-            .map(|w| w.json())
-            .collect::<Vec<_>>()
-            .join(",\n")
-    );
-    let path = "BENCH_walk_kernel.json";
-    let total = append_to_trajectory(path, &entry, &sha);
-    println!("appended entry {sha} to {path} ({total} entries in the trajectory)");
 }

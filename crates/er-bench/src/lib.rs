@@ -18,6 +18,12 @@
 //! [`datasets`] module builds synthetic graphs whose average degree matches
 //! each original (see DESIGN.md for the substitution argument), and will load
 //! a real edge list from `data/<name>.txt` instead when one is present.
+//!
+//! Three more binaries are calibration tools rather than figures:
+//! `walk_kernel` (old path vs walk kernel, lane and prefetch sweeps),
+//! `planner_calibration` (the service planner's thresholds) and
+//! `thread_scaling` (walks/sec and bit-identity at 1/2/4/8 threads). The
+//! end-to-end serving benchmark is the separate `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +35,9 @@ pub mod harness;
 pub mod methods;
 pub mod report;
 pub mod sweeps;
-pub mod trajectory;
 
 pub use args::{BenchArgs, Scale};
 pub use datasets::{DatasetSpec, PreparedDataset};
 pub use harness::{run_estimator_on_workload, run_method_on_workload, MethodRun, Workload};
 pub use methods::MethodKind;
 pub use report::{print_table, write_csv};
-pub use trajectory::{append_to_trajectory, git_sha, split_entries};

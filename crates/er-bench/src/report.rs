@@ -35,43 +35,26 @@ fn cell(run: &MethodRun) -> String {
 /// ε, cell = average query time in ms (`*` marks a partially completed sweep,
 /// `OOM`/`>budget` mark exclusions).
 pub fn print_table(title: &str, runs: &[MethodRun]) {
-    println!("\n== {title} ==");
     if runs.is_empty() {
+        println!("\n== {title} ==");
         println!("(no data)");
         return;
     }
-    let mut epsilons: Vec<f64> = runs.iter().map(|r| r.epsilon).collect();
-    epsilons.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    epsilons.dedup();
-    let mut keys: Vec<(String, String)> = runs
-        .iter()
-        .map(|r| (r.dataset.clone(), r.method.clone()))
-        .collect();
-    keys.dedup();
-
-    print!("{:<22} {:<10}", "dataset", "method");
-    for eps in &epsilons {
-        print!(" {:>12}", format!("eps={eps}"));
-    }
-    println!();
-    for (dataset, method) in keys {
-        print!("{dataset:<22} {method:<10}");
-        for eps in &epsilons {
-            let found = runs.iter().find(|r| {
-                r.dataset == dataset && r.method == method && (r.epsilon - eps).abs() < 1e-12
-            });
-            match found {
-                Some(run) => print!(" {:>12}", cell(run)),
-                None => print!(" {:>12}", "-"),
-            }
-        }
-        println!();
-    }
+    print_grid(title, runs, cell);
 }
 
 /// Prints the same table but with average absolute error in the cells
 /// (Fig. 6 / Fig. 7 style).
 pub fn print_error_table(title: &str, runs: &[MethodRun]) {
+    print_grid(title, runs, |run| match run.avg_abs_error {
+        Some(err) if run.excluded.is_none() => format!("{err:.5}"),
+        _ => cell(run),
+    });
+}
+
+/// The shared layout of both tables: ε columns in descending order, one row
+/// per (dataset, method) in run order, `-` where a point is missing.
+fn print_grid(title: &str, runs: &[MethodRun], format_cell: impl Fn(&MethodRun) -> String) {
     println!("\n== {title} ==");
     let mut epsilons: Vec<f64> = runs.iter().map(|r| r.epsilon).collect();
     epsilons.sort_by(|a, b| b.partial_cmp(a).unwrap());
@@ -81,6 +64,7 @@ pub fn print_error_table(title: &str, runs: &[MethodRun]) {
         .map(|r| (r.dataset.clone(), r.method.clone()))
         .collect();
     keys.dedup();
+
     print!("{:<22} {:<10}", "dataset", "method");
     for eps in &epsilons {
         print!(" {:>12}", format!("eps={eps}"));
@@ -92,14 +76,10 @@ pub fn print_error_table(title: &str, runs: &[MethodRun]) {
             let found = runs.iter().find(|r| {
                 r.dataset == dataset && r.method == method && (r.epsilon - eps).abs() < 1e-12
             });
-            let text = match found {
-                Some(run) => match run.avg_abs_error {
-                    Some(err) if run.excluded.is_none() => format!("{err:.5}"),
-                    _ => cell(run),
-                },
-                None => "-".to_string(),
-            };
-            print!(" {:>12}", text);
+            print!(
+                " {:>12}",
+                found.map_or_else(|| "-".to_string(), &format_cell)
+            );
         }
         println!();
     }
